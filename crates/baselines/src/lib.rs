@@ -5,8 +5,6 @@
 //! * [`hf::HfLearner`] — handcrafted features (degrees, centralities, the 16
 //!   directed triad counts) + logistic regression (Sec. 3),
 //! * [`line::LineLearner`] — LINE node embedding with endpoint concatenation,
-//! * [`node2vec::Node2VecLearner`] — node2vec biased-walk node embedding
-//!   (an additional node-based comparator from the paper's related work),
 //! * [`redirect::RedirectNLearner`] — node-centroid semi-supervised ReDirect,
 //! * [`redirect::RedirectTLearner`] — tie-centroid semi-supervised ReDirect.
 //!
@@ -18,13 +16,11 @@
 
 pub mod hf;
 pub mod line;
-pub mod node2vec;
 pub mod patterns;
 pub mod redirect;
 pub mod traits;
 
 pub use hf::{HfConfig, HfLearner};
 pub use line::{LineConfig, LineLearner};
-pub use node2vec::{Node2VecConfig, Node2VecLearner};
 pub use redirect::{RedirectNConfig, RedirectNLearner, RedirectTConfig, RedirectTLearner};
 pub use traits::{DirectionalityLearner, FnScorer, TieScorer};

@@ -22,10 +22,9 @@
 //! * `DD_SEEDS` — number of seeds to average (default 1),
 //! * `DD_OUT` — results directory (default `results/`).
 //!
-//! Criterion micro-benchmarks (`cargo bench -p dd-bench`) cover the
-//! performance claims: E-Step iteration cost vs `l` and `λ` (the `O(λ·l)`
-//! per-iteration analysis of Sec. 4.6), feature extraction, graph
-//! primitives, and the line-graph blow-up of Sec. 4.
+//! Performance at paper scale (end to end and per layer, including the
+//! Fig. 9 linear-in-`|E|` fit) is measured by the separate `perfbench/`
+//! package; see `perfbench/README.md`.
 
 use dd_datasets::DatasetSpec;
 use dd_eval::runner::Method;

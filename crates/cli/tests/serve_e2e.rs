@@ -212,8 +212,7 @@ fn serve_e2e_binary_model_is_bit_identical_to_json() {
     let model_ddm = tmp("model_bin.ddm");
 
     // Train a small JSON model and export it to the binary container with
-    // the binary itself — the exact artifact flow the CI model-io-smoke
-    // job exercises.
+    // the binary itself: the artifact flow an operator follows.
     let out = dd()
         .args(["generate", "twitter", "--scale", "250", "--out", &edges])
         .output()

@@ -7,7 +7,7 @@ use std::path::Path;
 use dd_graph::hash::FxHashMap;
 use dd_graph::{MixedSocialNetwork, NodeId};
 use dd_linalg::bytes::{fnv1a64, AlignedBuf, FNV64_SEED};
-use dd_linalg::kernels::{dot8_f64, dot_scalar_f64};
+use dd_linalg::kernels::dot8_f64;
 use dd_linalg::matrix::DenseMatrix;
 use dd_linalg::rng::Pcg32;
 use dd_linalg::sigmoid64;
@@ -315,26 +315,6 @@ impl DirectionalityModel {
                     self.head.score(&x)
                 }
             },
-        }
-    }
-
-    /// Reference scoring path: the same math as [`Self::score_row`] through
-    /// the strict left-to-right scalar kernel instead of the unrolled one.
-    /// Exists so `dd bench --model-io` can report what the 8-wide kernel
-    /// buys; serving always goes through [`Self::score_row`]. The two may
-    /// differ in the last ulp (different f64 accumulation order).
-    pub fn score_row_scalar(&self, row: usize) -> f64 {
-        let emb = self.store.embedding_row(row);
-        match &self.head {
-            DirectionalityHead::Logistic(lr) => {
-                let (w_emb, w_ctx) = lr.w.split_at(self.store.dim().min(lr.w.len()));
-                let mut z = dot_scalar_f64(w_emb, emb);
-                if let Some(ctx) = self.store.context_row(row) {
-                    z += dot_scalar_f64(w_ctx, ctx);
-                }
-                sigmoid64(z + f64::from(lr.b))
-            }
-            DirectionalityHead::Mlp(_) => self.score_row(row),
         }
     }
 

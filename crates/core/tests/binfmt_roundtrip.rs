@@ -2,8 +2,8 @@
 //! JSON and to the binary container must produce **bit-identical** scores
 //! for every tie — single-threaded and from 8 concurrent threads. This is
 //! the contract that lets `dd serve` swap a JSON artifact for a `.ddm`
-//! without any score drifting (the model-io CI smoke asserts the same thing
-//! end-to-end over HTTP).
+//! without any score drifting (`dd-cli`'s `serve_e2e` asserts the same
+//! thing end-to-end over HTTP).
 
 use std::sync::Arc;
 

@@ -175,7 +175,7 @@ pub fn build_instance_sampled<R: Rng>(
 }
 
 /// Returns true when over half the social ties of `g` are bidirectional —
-/// the criterion Sec. 6.3 uses to select datasets for the experiment.
+/// the rule Sec. 6.3 uses to select datasets for the experiment.
 pub fn is_bidirectional_heavy(g: &MixedSocialNetwork) -> bool {
     let c = g.counts();
     let _ = TieKind::Bidirectional; // (documents which kind the test is about)

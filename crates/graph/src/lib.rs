@@ -11,7 +11,6 @@
 //! * connected ties, tie degrees and `C(G)` (Definition 4, Eq. 6) — [`ties`],
 //! * closeness and betweenness centrality (Eqs. 3–4) — [`centrality`],
 //! * the 16 directed triad count features (Sec. 3.1) — [`triads`],
-//! * line graphs for the size-blow-up argument of Sec. 4 — [`linegraph`],
 //! * BFS sub-network sampling and the hide-direction evaluation protocol
 //!   (Sec. 6.1–6.2) — [`sampling`],
 //! * synthetic social network generators with status-driven tie directions,
@@ -42,7 +41,6 @@ pub mod generators;
 pub mod hash;
 pub mod ids;
 pub mod io;
-pub mod linegraph;
 pub mod network;
 pub mod sampling;
 pub mod tie;

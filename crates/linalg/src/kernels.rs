@@ -5,8 +5,8 @@
 //! observation for asymmetric edge scoring). Training keeps the plain f32
 //! loops in [`crate::vecops`] — these kernels exist so `score` / `/batch`
 //! stream cache-resident rows through independent accumulator lanes the
-//! compiler can autovectorize (verified by `dd bench --model-io`, which
-//! ratchets the kernel-vs-scalar throughput ratio).
+//! compiler can autovectorize. [`dot_scalar_f64`] is the strict
+//! left-to-right reference the tests compare them against.
 //!
 //! # Bit-compatibility policy
 //!
@@ -67,9 +67,8 @@ pub fn dot4_f64(x: &[f32], y: &[f32]) -> f64 {
     acc
 }
 
-/// Strict left-to-right scalar `f64` dot product — the reference the bench
-/// compares the unrolled kernels against (a single serial accumulator defeats
-/// autovectorization, so the measured ratio reflects the unroll).
+/// Strict left-to-right scalar `f64` dot product — the reference the tests
+/// compare the unrolled kernels against.
 ///
 /// # Panics
 /// Panics if `x` and `y` differ in length.

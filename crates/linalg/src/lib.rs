@@ -12,7 +12,7 @@
 //! * a fast PCG32 generator with splittable streams for Hogwild workers
 //!   — [`rng`],
 //! * logistic regression (the directionality function of Sec. 3.2 and the
-//!   D-Step) — [`logreg`], with an optional AdaGrad trainer — [`adagrad`],
+//!   D-Step) — [`logreg`],
 //! * a one-hidden-layer MLP (the paper's proposed non-linear D-Step
 //!   extension) — [`mlp`],
 //! * feature standardization — [`scaler`] — and summary statistics
@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod activations;
-pub mod adagrad;
 pub mod alias;
 pub mod bytes;
 pub mod float;
@@ -41,7 +40,6 @@ pub mod stats;
 pub mod vecops;
 
 pub use activations::{cross_entropy, log_sigmoid, sigmoid, sigmoid64};
-pub use adagrad::{fit_logreg_adagrad, AdaGrad};
 pub use alias::AliasTable;
 pub use bytes::AlignedBuf;
 pub use float::{approx_eq, is_zero, is_zero32};

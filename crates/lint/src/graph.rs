@@ -5,9 +5,9 @@
 //! Nodes are lock names (receiver fields/variables, merged globally — that
 //! merging is the point: `engine` in `server.rs` and `engine` reached
 //! through a helper in another file are the same lock). Edges come from
-//! [`crate::locks::analyze`]: `a → b` means "b was acquired while a guard
-//! of a was live". A cycle means two threads can interleave the
-//! acquisitions and deadlock; an `order(first < second)` declaration is
+//! the guard analysis in [`crate::locks`]: `a → b` means "b was acquired
+//! while a guard of a was live". A cycle means two threads can interleave
+//! the acquisitions and deadlock; an `order(first < second)` declaration is
 //! contradicted by any path `second → … → first`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

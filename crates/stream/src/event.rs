@@ -106,8 +106,8 @@ const MAX_STALL_RETRIES: u32 = 256;
 /// (stdin, a file, a chaos-wrapped socket): `Interrupted` is retried
 /// silently (no bytes moved; the call can simply be reissued), while
 /// `WouldBlock`/`TimedOut` back off for a millisecond per retry and fail
-/// after [`MAX_STALL_RETRIES`] consecutive retries without progress — so a
-/// non-blocking reader that is never ready errors out instead of
+/// after `MAX_STALL_RETRIES` (256) consecutive retries without progress —
+/// so a non-blocking reader that is never ready errors out instead of
 /// busy-spinning forever. EOF ends the stream, and the collected text goes
 /// through [`parse_events`] — so a stream torn mid-line rejects the whole
 /// batch, and a stream torn on a line boundary yields a clean prefix of

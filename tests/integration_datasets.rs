@@ -39,7 +39,7 @@ fn generated_networks_are_connected() {
 }
 
 #[test]
-fn bidirectional_heavy_datasets_satisfy_sec63_criterion() {
+fn bidirectional_heavy_datasets_satisfy_sec63_rule() {
     for spec in bidirectional_heavy_datasets() {
         let g = spec.generate(250, 7);
         assert!(
