@@ -897,7 +897,11 @@ mod tests {
         b.add_bidirectional(NodeId(4), NodeId(5)).unwrap();
         b.add_undirected(NodeId(5), NodeId(0)).unwrap();
         let g = b.build().unwrap();
-        let path = tmp("demo.edges");
+        // One file per call: tests run in parallel, and a shared path would
+        // let one test read a file another is rewriting.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = tmp(&format!("demo_{n}.edges"));
         save_edge_list(&g, &path).unwrap();
         path
     }

@@ -27,6 +27,72 @@ fn tmp(name: &str) -> String {
     dir.join(name).to_string_lossy().to_string()
 }
 
+/// Asserts `body` is Prometheus text exposition 0.0.4: every sample line is
+/// `name{label="value",…} value` with a `# TYPE` for its family, and every
+/// histogram family has `_bucket` lines up to `le="+Inf"`, `_sum`, and
+/// `_count`.
+fn assert_prometheus_exposition(body: &str) {
+    let is_name = |s: &str, colon: bool| {
+        let mut chars = s.chars();
+        chars.next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || (colon && c == ':'))
+            && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || (colon && c == ':'))
+    };
+    let mut typed: Vec<(&str, &str)> = Vec::new();
+    let mut samples: Vec<&str> = Vec::new();
+    for line in body.lines().filter(|l| !l.is_empty()) {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("`# TYPE name kind`");
+            typed.push((name, kind));
+            continue;
+        }
+        if line.starts_with('#') {
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("bad line {line:?}"));
+        assert!(
+            matches!(value, "NaN" | "+Inf" | "-Inf") || value.parse::<f64>().is_ok(),
+            "bad sample value in {line:?}"
+        );
+        let (name, labels) = match series.split_once('{') {
+            Some((name, rest)) => {
+                (name, rest.strip_suffix('}').unwrap_or_else(|| panic!("unclosed {line:?}")))
+            }
+            None => (series, ""),
+        };
+        assert!(is_name(name, true), "bad metric name in {line:?}");
+        let mut rest = labels;
+        while !rest.is_empty() {
+            let (label, after) = rest.split_once("=\"").unwrap_or_else(|| panic!("{line:?}"));
+            assert!(is_name(label, false), "bad label name in {line:?}");
+            let (value, after) = after.split_once('"').unwrap_or_else(|| panic!("{line:?}"));
+            assert!(!value.contains('\\'), "escaped label value in {line:?}");
+            rest = match after.strip_prefix(',') {
+                Some(more) => more,
+                None if after.is_empty() => after,
+                None => panic!("bad label list in {line:?}"),
+            };
+        }
+        samples.push(name);
+    }
+    let type_of = |name: &str| typed.iter().find(|(n, _)| *n == name).map(|&(_, k)| k);
+    for name in &samples {
+        let family = ["_bucket", "_sum", "_count", "_total"]
+            .iter()
+            .find_map(|suffix| name.strip_suffix(suffix))
+            .unwrap_or(name);
+        assert!(type_of(name).or(type_of(family)).is_some(), "untyped sample {name}");
+    }
+    for &(family, _) in typed.iter().filter(|(_, kind)| *kind == "histogram") {
+        assert!(body.contains(&format!("{family}_sum")), "{family} lacks _sum");
+        assert!(body.contains(&format!("{family}_count")), "{family} lacks _count");
+        assert!(
+            body.lines()
+                .any(|l| l.starts_with(&format!("{family}_bucket{{")) && l.contains("le=\"+Inf\"")),
+            "{family} lacks its +Inf bucket"
+        );
+    }
+}
+
 /// Kills the server child on drop so a failing assertion can't leak a
 /// process that outlives the test run.
 struct ChildGuard(Option<Child>);
@@ -172,6 +238,24 @@ fn serve_e2e_train_query_shutdown() {
         .and_then(|v| v.trim().parse::<u64>().ok())
         .expect("latency histogram in metrics");
     assert_eq!(latency_count, total, "latency histogram must hold one sample per request");
+    assert_prometheus_exposition(&metrics.body);
+    assert!(
+        metrics.body.contains("dd_serve_latency_seconds_bucket{endpoint=\"score\",le=\"+Inf\"}"),
+        "{}",
+        metrics.body
+    );
+
+    // The served score is textually the one `dd score` prints offline.
+    let (src, dst) = ties[0];
+    let out = dd()
+        .args(["score", &model_path, &src.to_string(), &dst.to_string()])
+        .output()
+        .expect("dd score runs");
+    assert!(out.status.success(), "score failed: {}", String::from_utf8_lossy(&out.stderr));
+    let offline = String::from_utf8(out.stdout).unwrap();
+    let served = client::get(&addr, &format!("/score?src={src}&dst={dst}")).unwrap();
+    let want = format!("\"score\":{}", offline.trim());
+    assert!(served.body.contains(&want), "served {} lacks {want}", served.body);
 
     // 6. Graceful shutdown: SIGINT, clean exit, drain summary on stdout.
     let status =
@@ -388,6 +472,7 @@ fn serve_e2e_fleet_mode_routes_and_drains() {
         "router metrics missing per-shard labels: {}",
         metrics.body
     );
+    assert_prometheus_exposition(&metrics.body);
 
     // SIGINT the supervisor: router drains first, then both shards; the
     // fleet summary reports both shards exiting cleanly.

@@ -48,16 +48,7 @@ impl std::fmt::Display for TransportError {
 
 /// Issues `GET path` against `addr` (`host:port`, no scheme).
 pub fn get(addr: &str, path: &str) -> Result<ClientResponse, String> {
-    get_with_headers(addr, path, &[])
-}
-
-/// [`get`] with extra request headers (e.g. `traceparent` propagation).
-pub fn get_with_headers(
-    addr: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-) -> Result<ClientResponse, String> {
-    request(addr, "GET", path, None, headers).map_err(|e| e.message)
+    request(addr, "GET", path, None, &[]).map_err(|e| e.message)
 }
 
 /// Retry policy for [`get_with_retry`]: capped exponential backoff with
@@ -140,81 +131,35 @@ fn classify(outcome: &Result<ClientResponse, TransportError>) -> Transient {
     }
 }
 
-/// Per-cause retry tallies, accumulated by [`get_with_retry_counted`]. The
-/// router feeds these into its `/metrics` so failovers are attributable:
-/// a burst of `refused` means a shard restarted, `over_capacity` means the
-/// fleet is undersized.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RetryCounters {
-    /// Retries after the OS refused the connection outright.
-    pub refused: u64,
-    /// Retries after any other transport failure (reset, timeout, torn
-    /// response).
-    pub other_transport: u64,
-    /// Retries after a `503` over-capacity answer.
-    pub over_capacity: u64,
-}
-
-impl RetryCounters {
-    /// Total retries across all causes.
-    pub fn total(&self) -> u64 {
-        self.refused + self.other_transport + self.over_capacity
-    }
-}
-
 /// Issues `GET path`, retrying transient failures per `policy`.
 ///
 /// Only GETs get a retry wrapper: every GET endpoint the server exposes is
 /// idempotent, so replaying one is always safe. On exhaustion the last
 /// outcome is returned as-is (a `503` response stays an `Ok` so callers
-/// can still read the status).
+/// can still read the status). Refused connects sleep
+/// [`RetryPolicy::refused_delay`] instead of the exponential backoff.
 pub fn get_with_retry(
     addr: &str,
     path: &str,
     policy: &RetryPolicy,
-) -> Result<ClientResponse, String> {
-    get_with_retry_counted(addr, path, &[], policy, &mut RetryCounters::default())
-}
-
-/// [`get_with_retry`] with extra headers and per-cause retry accounting.
-///
-/// Refused connects sleep [`RetryPolicy::refused_delay`] instead of the
-/// exponential backoff; every retry increments the matching field of
-/// `counters` so callers can export attribution metrics.
-pub fn get_with_retry_counted(
-    addr: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    policy: &RetryPolicy,
-    counters: &mut RetryCounters,
 ) -> Result<ClientResponse, String> {
     let mut rng = Pcg32::seed_from_u64(policy.seed);
     // dd-lint: allow(trace-hygiene) — retry-budget accounting; the client
     // library has no observer to attach a span to.
     let start = Instant::now();
     let attempts = policy.attempts.max(1);
-    let mut outcome = request(addr, "GET", path, None, headers);
+    let mut outcome = request(addr, "GET", path, None, &[]);
     for attempt in 0..attempts - 1 {
         let sleep = match classify(&outcome) {
             Transient::No => break,
-            Transient::Refused => {
-                counters.refused += 1;
-                policy.refused_delay
-            }
-            Transient::Transport => {
-                counters.other_transport += 1;
-                policy.backoff(attempt, &mut rng)
-            }
-            Transient::OverCapacity => {
-                counters.over_capacity += 1;
-                policy.backoff(attempt, &mut rng)
-            }
+            Transient::Refused => policy.refused_delay,
+            Transient::Transport | Transient::OverCapacity => policy.backoff(attempt, &mut rng),
         };
         if start.elapsed() + sleep > policy.budget {
             break;
         }
         std::thread::sleep(sleep);
-        outcome = request(addr, "GET", path, None, headers);
+        outcome = request(addr, "GET", path, None, &[]);
     }
     outcome.map_err(|e| e.message)
 }
@@ -243,17 +188,7 @@ pub fn post_classified(
 
 /// Issues `POST path` with `body` against `addr` (`host:port`, no scheme).
 pub fn post(addr: &str, path: &str, body: &str) -> Result<ClientResponse, String> {
-    post_with_headers(addr, path, body, &[])
-}
-
-/// [`post`] with extra request headers (e.g. `traceparent` propagation).
-pub fn post_with_headers(
-    addr: &str,
-    path: &str,
-    body: &str,
-    headers: &[(&str, &str)],
-) -> Result<ClientResponse, String> {
-    request(addr, "POST", path, Some(body), headers).map_err(|e| e.message)
+    request(addr, "POST", path, Some(body), &[]).map_err(|e| e.message)
 }
 
 fn request(
@@ -377,23 +312,12 @@ mod tests {
             refused_delay: Duration::from_millis(1),
             seed: 1,
         };
-        let mut counters = RetryCounters::default();
         let start = Instant::now();
-        let out = get_with_retry_counted(
-            &format!("127.0.0.1:{port}"),
-            "/healthz",
-            &[],
-            &policy,
-            &mut counters,
-        );
+        let out = get_with_retry(&format!("127.0.0.1:{port}"), "/healthz", &policy);
         assert!(out.is_err(), "nothing listens there");
         assert!(out.unwrap_err().contains("connect"), "error names the failing stage");
         // Refused connects take the fixed short delay, not the exponential
         // schedule: two 1 ms sleeps, far under the 50–100 ms backoff floor.
         assert!(start.elapsed() < Duration::from_millis(75), "refused retries must be cheap");
-        assert_eq!(counters.refused, 2, "both retries were refused connects");
-        assert_eq!(counters.other_transport, 0);
-        assert_eq!(counters.over_capacity, 0);
-        assert_eq!(counters.total(), 2);
     }
 }

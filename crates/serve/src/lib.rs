@@ -5,9 +5,13 @@
 //! built entirely on `std` networking (the build is offline/vendored — no
 //! tokio, no hyper). The design is deliberately production-shaped:
 //!
-//! - **Worker pool + bounded accept queue** ([`server`]): a fixed number of
-//!   threads drain a `sync_channel` of accepted connections; overflow is
-//!   answered with `503` instead of queueing without bound.
+//! - **One HTTP front end** (`front.rs`, shared by [`server`] and
+//!   [`router`]): a fixed number of worker threads drain a bounded
+//!   `sync_channel` of accepted connections (overflow is answered with
+//!   `503` instead of queueing without bound), each request runs in one
+//!   frame — timeouts, parse, `traceparent`, panic isolation, metrics,
+//!   request log — and shutdown drains the queue before joining the pool.
+//!   A shard and the router differ only in their routes.
 //! - **Hot model reload** ([`slot`]): the model lives in an `Arc`-swappable
 //!   [`ModelSlot`]; `POST /admin/reload` swaps a new artifact in with zero
 //!   downtime while in-flight requests finish on the model they started
@@ -31,9 +35,12 @@
 //! - **Observability**: per-endpoint request counters and latency
 //!   histograms in a [`Registry`](dd_telemetry::Registry) exported at
 //!   `GET /metrics`, plus structured JSONL request logs (with model
-//!   fingerprint + reload generation on every trace root) through the
-//!   dd-telemetry event sink. `traceparent` propagates client → router →
-//!   shard, so a routed request is one trace across processes.
+//!   fingerprint + reload generation on every shard trace root) through the
+//!   dd-telemetry event sink. Each request-log root has `queue_wait` and
+//!   `handler.{endpoint}` child spans on both hops, and a caught handler
+//!   panic is a `500` under the `panic` endpoint label. `traceparent`
+//!   propagates client → router → shard, so a routed request is one trace
+//!   across processes.
 //! - **Graceful shutdown** ([`signal`]): SIGINT/SIGTERM set a flag; the
 //!   fleet drains router first, then shards, flushing logs.
 //!
@@ -53,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod front;
 pub mod http;
 pub mod lru;
 pub mod router;

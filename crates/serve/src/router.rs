@@ -15,34 +15,28 @@
 //! are full replicas, so every one must see every reload and every tie
 //! event), `/healthz` reports fleet state with per-shard fingerprints and
 //! reload generations.
+//!
+//! The HTTP front end — accept queue, worker pool, request frame, shutdown
+//! — is the one shards use (`front.rs`); this module supplies the routes,
+//! the ring, and the health prober.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dd_linalg::bytes::{fnv1a64, FNV64_SEED};
 use dd_linalg::Pcg32;
-use dd_runtime::{spawn_named, Threads, WorkerPool};
 use dd_telemetry::export::{prometheus_text, PromFamily};
-use dd_telemetry::trace::{
-    derive_span_id, derive_trace_id, format_traceparent, now_seconds, parse_traceparent,
-    SpanContext,
-};
-use dd_telemetry::{Counter, Event, Gauge, Histogram, MetricSnapshot, ObserverHandle, Registry};
+use dd_telemetry::{Counter, Gauge, ObserverHandle, Registry};
 use serde::{Deserialize, Serialize};
 
 use crate::client::{self, ClientResponse, RetryPolicy};
+use crate::front::{
+    self, batch_pairs, error_body, score_query, unrouted, FrontConfig, FrontHandle, Routed,
+    Service, JSON, NDJSON, PROM_TEXT,
+};
 use crate::http;
-use crate::server::TiePair;
-
-const JSON: &str = "application/json";
-const NDJSON: &str = "application/x-ndjson";
-const PROM_TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// Router configuration. `Default` must be given `shards` before use.
 #[derive(Debug, Clone)]
@@ -182,45 +176,21 @@ impl ShardState {
     }
 }
 
-/// Endpoint labels for router metrics and request-log events.
-const ENDPOINTS: [&str; 9] =
-    ["healthz", "score", "batch", "ingest", "metrics", "admin", "other", "timeout", "malformed"];
-
-struct EndpointMetrics {
-    requests: Arc<Counter>,
-    latency: Arc<Histogram>,
-}
-
 struct RouterState {
     shards: Vec<ShardState>,
     ring: Ring,
     registry: Arc<Registry>,
-    observer: ObserverHandle,
-    endpoints: Vec<(&'static str, EndpointMetrics)>,
     retry: RetryPolicy,
     unhealthy_after: u32,
-    request_timeout: Duration,
-    queue_rejections: Arc<Counter>,
     failovers: Arc<Counter>,
     retry_refused: Arc<Counter>,
     retry_transport: Arc<Counter>,
     retry_over_capacity: Arc<Counter>,
-    request_seq: AtomicU64,
 }
 
 impl RouterState {
     fn new(cfg: &RouterConfig) -> Self {
         let registry = Arc::new(Registry::new());
-        let endpoints = ENDPOINTS
-            .iter()
-            .map(|&name| {
-                let m = EndpointMetrics {
-                    requests: registry.counter(&format!("router.requests.{name}")),
-                    latency: registry.histogram(&format!("router.latency.{name}"), 1e-5, 2.0, 23),
-                };
-                (name, m)
-            })
-            .collect();
         let shards = cfg
             .shards
             .iter()
@@ -241,23 +211,14 @@ impl RouterState {
         RouterState {
             shards,
             ring: Ring::build(&cfg.shards, cfg.vnodes),
-            observer: cfg.observer.clone(),
-            endpoints,
             retry: cfg.retry.clone(),
             unhealthy_after: cfg.unhealthy_after,
-            request_timeout: cfg.request_timeout,
-            queue_rejections: registry.counter("router.rejected.queue_full"),
             failovers: registry.counter("router.failovers"),
             retry_refused: registry.counter("router.retry.refused"),
             retry_transport: registry.counter("router.retry.transport"),
             retry_over_capacity: registry.counter("router.retry.over_capacity"),
-            request_seq: AtomicU64::new(0),
             registry,
         }
-    }
-
-    fn endpoint(&self, name: &str) -> Option<&EndpointMetrics> {
-        self.endpoints.iter().find(|(n, _)| *n == name).map(|(_, m)| m)
     }
 
     /// Candidate order for a key: ring order, healthy shards first. An
@@ -389,21 +350,16 @@ pub struct ShardHealth {
     pub generation: Option<u64>,
 }
 
-type Routed = (&'static str, u16, &'static str, Vec<u8>);
-
-fn error_body(msg: &str) -> Vec<u8> {
-    format!("{{\"error\":{}}}", serde_json::to_string(&msg.to_string()).unwrap_or_default())
-        .into_bytes()
-}
-
 fn route(state: &RouterState, req: &http::Request, traceparent: &str) -> Routed {
     let fwd_headers: [(&str, &str); 1] = [("traceparent", traceparent)];
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz_endpoint(state),
         ("GET", "/score") => score_endpoint(state, req, &fwd_headers),
         ("POST", "/batch") => batch_endpoint(state, req, &fwd_headers),
-        ("POST", "/ingest") => ingest_endpoint(state, req, &fwd_headers),
-        ("POST", "/admin/reload") => reload_endpoint(state, req, &fwd_headers),
+        ("POST", "/ingest") => fan_out(state, "ingest", "/ingest", "JSONL", req, &fwd_headers),
+        ("POST", "/admin/reload") => {
+            fan_out(state, "admin", "/admin/reload", "JSON", req, &fwd_headers)
+        }
         ("GET", "/metrics") => {
             let families = [
                 PromFamily {
@@ -440,10 +396,7 @@ fn route(state: &RouterState, req: &http::Request, traceparent: &str) -> Routed 
             let body = prometheus_text(&state.registry.snapshot(), &families).into_bytes();
             ("metrics", 200, PROM_TEXT, body)
         }
-        (_, "/healthz" | "/score" | "/batch" | "/ingest" | "/metrics" | "/admin/reload") => {
-            ("other", 405, JSON, error_body(&format!("method {} not allowed", req.method)))
-        }
-        (_, path) => ("other", 404, JSON, error_body(&format!("no such endpoint '{path}'"))),
+        _ => unrouted(req),
     }
 }
 
@@ -488,19 +441,10 @@ fn healthz_endpoint(state: &RouterState) -> Routed {
     ("healthz", status, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
 }
 
-fn parse_id(req: &http::Request, key: &str) -> Result<u32, String> {
-    match req.query_param(key) {
-        None => Err(format!("missing query parameter '{key}' (expected /score?src=A&dst=B)")),
-        Some(raw) => raw
-            .parse::<u32>()
-            .map_err(|_| format!("query parameter '{key}' must be a node id, got '{raw}'")),
-    }
-}
-
 fn score_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &str)]) -> Routed {
-    let (src, dst) = match (parse_id(req, "src"), parse_id(req, "dst")) {
-        (Ok(s), Ok(d)) => (s, d),
-        (Err(e), _) | (_, Err(e)) => return ("score", 400, JSON, error_body(&e)),
+    let (src, dst) = match score_query(req) {
+        Ok(pair) => pair,
+        Err(routed) => return routed,
     };
     let candidates = state.ordered_candidates(tie_hash(src, dst));
     let path = format!("/score?src={src}&dst={dst}");
@@ -515,31 +459,11 @@ fn score_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &s
 }
 
 fn batch_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &str)]) -> Routed {
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return ("batch", 400, JSON, error_body("body must be UTF-8 JSONL"));
+    // A malformed batch is rejected before any shard sees a partial forward.
+    let pairs = match batch_pairs(req) {
+        Ok(pairs) => pairs,
+        Err(routed) => return routed,
     };
-    // Parse every line up front so a malformed batch is rejected before any
-    // shard sees a partial forward.
-    let mut pairs: Vec<TiePair> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<TiePair>(line) {
-            Ok(p) => pairs.push(p),
-            Err(e) => {
-                return (
-                    "batch",
-                    400,
-                    JSON,
-                    error_body(&format!("line {}: expected {{\"src\":A,\"dst\":B}}: {e}", i + 1)),
-                )
-            }
-        }
-    }
-    if pairs.is_empty() {
-        return ("batch", 400, JSON, error_body("empty batch: send one JSON pair per line"));
-    }
 
     // Group pairs by owning shard (ring candidate order is per-tie, so the
     // groups also carry their failover sequences), forward each sub-batch,
@@ -598,48 +522,28 @@ fn batch_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &s
     ("batch", 200, NDJSON, out.into_bytes())
 }
 
-/// `POST /admin/reload` fans out to every shard so the whole fleet swaps to
-/// the new artifact. The response aggregates each shard's verdict; the
-/// status is `200` only when every shard reloaded.
-fn reload_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &str)]) -> Routed {
+/// `POST /admin/reload` and `POST /ingest` fan the body out to every
+/// shard, unchanged. Shards are full replicas, so every one must swap to the
+/// same artifact and fold in the same events to keep serving bit-identical
+/// scores. The response aggregates each shard's verdict; the status is
+/// `200` only when every shard accepted. No failover here — a shard that
+/// missed a reload or a batch would silently diverge, so a partial fan-out
+/// is reported as `502` for the operator to retry or replay the event log.
+fn fan_out(
+    state: &RouterState,
+    endpoint: &'static str,
+    path: &str,
+    format: &str,
+    req: &http::Request,
+    headers: &[(&str, &str)],
+) -> Routed {
     let Ok(body) = std::str::from_utf8(&req.body) else {
-        return ("admin", 400, JSON, error_body("body must be UTF-8 JSON"));
+        return (endpoint, 400, JSON, error_body(&format!("body must be UTF-8 {format}")));
     };
     let mut results = Vec::with_capacity(state.shards.len());
     let mut all_ok = true;
     for shard in &state.shards {
-        let (ok, detail) =
-            match client::post_classified(&shard.addr, "/admin/reload", body, headers) {
-                Ok(resp) if resp.status == 200 => (true, resp.body),
-                Ok(resp) => (false, format!("status {}: {}", resp.status, resp.body)),
-                Err(e) => (false, e.message),
-            };
-        all_ok &= ok;
-        results.push(format!(
-            "{{\"addr\":{},\"ok\":{ok},\"detail\":{}}}",
-            serde_json::to_string(&shard.addr).unwrap_or_default(),
-            if ok { detail } else { serde_json::to_string(&detail).unwrap_or_default() },
-        ));
-    }
-    let status = if all_ok { 200 } else { 502 };
-    let body = format!("{{\"shards\":[{}]}}", results.join(","));
-    ("admin", status, JSON, body.into_bytes())
-}
-
-/// `POST /ingest` fans the event batch out to every shard: shards are full
-/// replicas, so each must fold in the same events to keep serving
-/// bit-identical scores. The response aggregates per-shard verdicts; the
-/// status is `200` only when every shard applied the batch. No failover
-/// here — a shard that missed a batch would silently diverge, so a partial
-/// fan-out is reported as `502` for the operator to replay the event log.
-fn ingest_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &str)]) -> Routed {
-    let Ok(body) = std::str::from_utf8(&req.body) else {
-        return ("ingest", 400, JSON, error_body("body must be UTF-8 JSONL"));
-    };
-    let mut results = Vec::with_capacity(state.shards.len());
-    let mut all_ok = true;
-    for shard in &state.shards {
-        let (ok, detail) = match client::post_classified(&shard.addr, "/ingest", body, headers) {
+        let (ok, detail) = match client::post_classified(&shard.addr, path, body, headers) {
             Ok(resp) if resp.status == 200 => (true, resp.body),
             Ok(resp) => (false, format!("status {}: {}", resp.status, resp.body)),
             Err(e) => (false, e.message),
@@ -653,118 +557,16 @@ fn ingest_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &
     }
     let status = if all_ok { 200 } else { 502 };
     let body = format!("{{\"shards\":[{}]}}", results.join(","));
-    ("ingest", status, JSON, body.into_bytes())
+    (endpoint, status, JSON, body.into_bytes())
 }
 
-fn handle_connection(state: &RouterState, stream: TcpStream, accepted: Instant) {
-    // dd-lint: allow(trace-hygiene) — request latency measurement for the
-    // router's endpoint histograms and access log.
-    let start = Instant::now();
-    let start_seconds = now_seconds();
-    let queue_seconds = start.saturating_duration_since(accepted).as_secs_f64();
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(state.request_timeout));
-    let _ = stream.set_write_timeout(Some(state.request_timeout));
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let parsed = http::read_request(&mut reader);
+impl Service for RouterState {
+    type Worker = ();
 
-    let seq = state.request_seq.fetch_add(1, Ordering::Relaxed);
-    let client_trace =
-        parsed.as_ref().ok().and_then(|r| r.header("traceparent")).and_then(parse_traceparent);
-    let trace_id = client_trace.unwrap_or_else(|| derive_trace_id(seq, "router.request"));
-    let root_sid = derive_span_id(trace_id, 0, "router.request", seq);
-    // The shard sees the router's span as its parent: one trace, three
-    // processes (client → router → shard).
-    let fwd_traceparent = format_traceparent(SpanContext { trace_id, span_id: root_sid });
+    fn worker(&self) {}
 
-    let (endpoint, status, content_type, body) = match parsed {
-        Ok(req) => match catch_unwind(AssertUnwindSafe(|| route(state, &req, &fwd_traceparent))) {
-            Ok(routed) => routed,
-            Err(_) => ("other", 500, JSON, error_body("internal error: router panicked")),
-        },
-        Err(http::ParseError::ConnectionClosed) => return,
-        Err(http::ParseError::Timeout) => {
-            ("timeout", 408, JSON, error_body("timed out reading request"))
-        }
-        Err(e @ http::ParseError::TooLarge(_)) => {
-            ("malformed", 413, JSON, error_body(&e.to_string()))
-        }
-        Err(e @ http::ParseError::Malformed(_)) => {
-            ("malformed", 400, JSON, error_body(&e.to_string()))
-        }
-        Err(http::ParseError::Io(_)) => return,
-    };
-    let mut write_half = stream;
-    let echo = format_traceparent(SpanContext { trace_id, span_id: root_sid });
-    let _ = http::write_response_with_headers(
-        &mut write_half,
-        status,
-        content_type,
-        &[("traceparent", echo)],
-        &body,
-    );
-    let seconds = start.elapsed().as_secs_f64();
-    if let Some(m) = state.endpoint(endpoint) {
-        m.requests.incr();
-        m.latency.record(seconds);
-    }
-    if state.observer.is_enabled() {
-        let mut e =
-            Event::serve_request(endpoint, status, seconds).with_trace(trace_id, root_sid, None);
-        e.name = Some(format!("router.{endpoint}"));
-        e.start_seconds = Some(start_seconds);
-        e.fields = Some(vec![("queue_seconds".to_string(), queue_seconds)]);
-        state.observer.on_event(&e);
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    tx: SyncSender<(TcpStream, Instant)>,
-    shutdown: Arc<AtomicBool>,
-    state: Arc<RouterState>,
-) {
-    for conn in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match conn {
-            // dd-lint: allow(trace-hygiene) — queue-wait enqueue timestamp.
-            Ok(stream) => match tx.try_send((stream, Instant::now())) {
-                Ok(()) => {}
-                Err(TrySendError::Full((stream, _))) => {
-                    state.queue_rejections.incr();
-                    let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                    let _ = http::write_response(
-                        &mut stream,
-                        503,
-                        JSON,
-                        &error_body("router queue full, retry later"),
-                    );
-                }
-                Err(TrySendError::Disconnected(_)) => break,
-            },
-            Err(_) if shutdown.load(Ordering::SeqCst) => break,
-            Err(_) => {}
-        }
-    }
-}
-
-fn worker_loop(rx: Arc<Mutex<Receiver<(TcpStream, Instant)>>>, state: Arc<RouterState>) {
-    loop {
-        // dd-lint: allow(blocking-while-locked) — shared-receiver idiom:
-        // the mutex IS the recv token for the shard pool, held only for
-        // the blocking recv itself
-        let next = { rx.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).recv() };
-        match next {
-            Ok((stream, accepted)) => {
-                let _ =
-                    catch_unwind(AssertUnwindSafe(|| handle_connection(&state, stream, accepted)));
-            }
-            Err(_) => break,
-        }
+    fn route(&self, _: &mut (), req: &http::Request, traceparent: &str) -> Routed {
+        route(self, req, traceparent)
     }
 }
 
@@ -796,43 +598,23 @@ impl Router {
     /// score is answered by a shard.
     pub fn start(cfg: RouterConfig) -> Result<RouterHandle, String> {
         cfg.validate()?;
-        let listener =
-            TcpListener::bind(&cfg.addr).map_err(|e| format!("binding {}: {e}", cfg.addr))?;
-        let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let state = Arc::new(RouterState::new(&cfg));
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(TcpStream, Instant)>(cfg.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = {
-            let state = Arc::clone(&state);
-            WorkerPool::start(
-                "dd-router-worker",
-                Threads::new(cfg.workers).map_err(|e| format!("router workers: {e}"))?,
-                move |_| worker_loop(Arc::clone(&rx), Arc::clone(&state)),
-            )?
-        };
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let state = Arc::clone(&state);
-            spawn_named("dd-router-acceptor", move || accept_loop(listener, tx, shutdown, state))?
-        };
-        let prober = {
-            let shutdown = Arc::clone(&shutdown);
-            let state = Arc::clone(&state);
-            let interval = cfg.probe_interval;
-            spawn_named("dd-router-prober", move || prober_loop(state, shutdown, interval))?
-        };
-
-        Ok(RouterHandle {
-            addr,
-            registry: Arc::clone(&state.registry),
+        let front_cfg = FrontConfig {
+            prefix: "router",
+            log_prefix: "router.",
+            queue_full: "router queue full, retry later",
+            addr: cfg.addr,
+            workers: cfg.workers,
+            queue_depth: cfg.queue_depth,
+            request_timeout: cfg.request_timeout,
             observer: cfg.observer,
-            shutdown,
-            acceptor: Some(acceptor),
-            prober: Some(prober),
-            workers,
-        })
+        };
+        let mut front = front::start(front_cfg, Arc::clone(&state.registry), Arc::clone(&state))?;
+        let interval = cfg.probe_interval;
+        front.spawn_helper("dd-router-prober", move |shutdown| {
+            prober_loop(state, shutdown, interval)
+        })?;
+        Ok(RouterHandle { front })
     }
 }
 
@@ -841,66 +623,29 @@ impl Router {
 /// count back. Drain order for a fleet is router first, then shards —
 /// the router finishes its queued forwards against still-live shards.
 pub struct RouterHandle {
-    addr: SocketAddr,
-    registry: Arc<Registry>,
-    observer: ObserverHandle,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
-    workers: WorkerPool,
+    front: FrontHandle,
 }
 
 impl RouterHandle {
     /// The bound address (resolves port `0` to the actual ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// The router's metric registry (same data `/metrics` renders).
     pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
+        self.front.registry()
     }
 
     /// Total requests handled so far, across all endpoints.
     pub fn requests_total(&self) -> u64 {
-        self.registry
-            .snapshot()
-            .into_iter()
-            .filter(|(name, _)| name.starts_with("router.requests."))
-            .map(|(_, snap)| match snap {
-                MetricSnapshot::Counter(c) => c,
-                _ => 0,
-            })
-            .sum()
+        self.front.requests_total()
     }
 
     /// Graceful shutdown: stop accepting, drain queued forwards, join the
     /// pool and prober. Returns the total number of requests handled.
     pub fn shutdown(mut self) -> u64 {
-        self.shutdown_impl();
-        self.requests_total()
-    }
-
-    fn shutdown_impl(&mut self) {
-        if self.acceptor.is_none() && self.workers.is_empty() {
-            return;
-        }
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        self.workers.join();
-        if let Some(p) = self.prober.take() {
-            let _ = p.join();
-        }
-        self.observer.flush();
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shutdown_impl();
+        self.front.shutdown()
     }
 }
 

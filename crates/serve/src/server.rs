@@ -1,16 +1,13 @@
-//! The query server: a fixed worker pool behind a bounded accept queue,
-//! serving scores out of a hot-swappable [`DirectionalityModel`].
+//! The query server: a shard answering scores out of a hot-swappable
+//! [`DirectionalityModel`].
 //!
-//! Production shape, not framework shape: the acceptor thread pushes
-//! connections into a bounded `sync_channel` (overflow → immediate `503`
-//! instead of unbounded memory), each worker parses one request per
-//! connection under per-request read/write timeouts, scores through the
-//! sharded LRU cache, and records per-endpoint counters + latency
-//! histograms into a [`Registry`] that `/metrics` exports. The model lives
-//! in a [`ModelSlot`]: `POST /admin/reload` swaps a new artifact in while
-//! in-flight requests finish on the `Arc` they started with (DESIGN.md
-//! §7.14). Shutdown is graceful: stop accepting, drain every queued
-//! connection, join the pool.
+//! The HTTP front end — bounded accept queue, worker pool, per-request
+//! timeouts, traces, graceful shutdown — is the one the router uses too
+//! (`front.rs`); this module supplies the routes. Each worker scores
+//! through the sharded LRU cache and records into a [`Registry`] that
+//! `/metrics` exports. The model lives in a [`ModelSlot`]: `POST
+//! /admin/reload` swaps a new artifact in while in-flight requests finish on
+//! the `Arc` they started with (DESIGN.md §7.14).
 //!
 //! With [`ServeConfig::stream`] on, the server also accepts `POST /ingest`:
 //! JSONL tie events fold into the frozen embedding space through a
@@ -18,35 +15,25 @@
 //! `(fingerprint, src, dst)` cache entries are invalidated — new ties score
 //! within one request of being ingested, without retraining.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use dd_graph::NodeId;
-use dd_runtime::{spawn_named, Threads, WorkerPool};
 use dd_stream::{parse_events, StreamEngine};
 use dd_telemetry::export::{prometheus_text, PromFamily};
-use dd_telemetry::trace::{
-    derive_span_id, derive_trace_id, format_traceparent, now_seconds, parse_traceparent,
-    SpanContext,
-};
-use dd_telemetry::{Counter, Event, Gauge, Histogram, MetricSnapshot, ObserverHandle, Registry};
+use dd_telemetry::trace::derive_span_id;
+use dd_telemetry::{Counter, Event, Gauge, MetricSnapshot, ObserverHandle, Registry};
 use deepdirect::{DirectionalityModel, MODEL_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 
+use crate::front::{
+    self, batch_pairs, error_body, score_query, unrouted, FrontConfig, FrontHandle, HandlerSpan,
+    Routed, Service, JSON, NDJSON, PROM_TEXT,
+};
 use crate::http;
 use crate::lru::ScoreCache;
 use crate::slot::{ModelSlot, SlotReader};
-
-const JSON: &str = "application/json";
-const NDJSON: &str = "application/x-ndjson";
-/// Prometheus text exposition format version 0.0.4.
-const PROM_TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// Server configuration. `Default` is suitable for local use.
 #[derive(Debug, Clone)]
@@ -105,13 +92,6 @@ impl ServeConfig {
     }
 }
 
-/// Per-endpoint instruments, registered once at startup so the request path
-/// never takes the registry lock.
-struct EndpointMetrics {
-    requests: Arc<Counter>,
-    latency: Arc<Histogram>,
-}
-
 /// Streaming-ingest state: the engine plus its instruments. Present only
 /// when [`ServeConfig::stream`] is on.
 struct StreamState {
@@ -150,16 +130,12 @@ struct AppState {
     stream: Option<StreamState>,
     registry: Arc<Registry>,
     observer: ObserverHandle,
-    request_timeout: Duration,
-    endpoints: Vec<(&'static str, EndpointMetrics)>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
     cache_occupancy: Arc<Gauge>,
     /// Dead-generation entries reclaimed on reload (`serve.cache.purged`).
     cache_purged: Arc<Counter>,
-    queue_rejections: Arc<Counter>,
-    panics: Arc<Counter>,
     pool_utilization: Arc<Gauge>,
     /// Current reload generation, exported so dashboards can correlate
     /// latency shifts with model swaps.
@@ -169,9 +145,6 @@ struct AppState {
     started: Instant,
     n_workers: usize,
     panic_route: bool,
-    /// Monotone request sequence; seeds per-request trace IDs when the
-    /// client did not send a `traceparent` header.
-    request_seq: AtomicU64,
 }
 
 /// Per-request cache accounting, collected by [`AppState::score_cached`] so
@@ -183,34 +156,9 @@ struct RouteStats {
     cache_misses: u64,
 }
 
-/// Endpoint labels used in metric names and request-log events.
-const ENDPOINTS: [&str; 10] = [
-    "healthz",
-    "score",
-    "batch",
-    "ingest",
-    "metrics",
-    "admin",
-    "other",
-    "timeout",
-    "malformed",
-    "panic",
-];
-
 impl AppState {
     fn new(slot: Arc<ModelSlot>, cfg: &ServeConfig) -> Self {
         let registry = Arc::new(Registry::new());
-        let endpoints = ENDPOINTS
-            .iter()
-            .map(|&name| {
-                let m = EndpointMetrics {
-                    requests: registry.counter(&format!("serve.requests.{name}")),
-                    // 10 µs … ~84 s exponential latency buckets.
-                    latency: registry.histogram(&format!("serve.latency.{name}"), 1e-5, 2.0, 23),
-                };
-                (name, m)
-            })
-            .collect();
         registry.gauge("serve.pool.workers").set(cfg.workers as f64);
         let model_generation = registry.gauge("serve.model.generation");
         model_generation.set(slot.generation() as f64);
@@ -234,20 +182,15 @@ impl AppState {
             cache_evictions: registry.counter("serve.cache.evictions"),
             cache_occupancy: registry.gauge("serve.cache.occupancy"),
             cache_purged: registry.counter("serve.cache.purged"),
-            queue_rejections: registry.counter("serve.rejected.queue_full"),
-            panics: registry.counter("serve.panics"),
             model_generation,
             model_reloads: registry.counter("serve.model.reloads"),
             observer: cfg.observer.clone(),
-            request_timeout: cfg.request_timeout,
-            endpoints,
             pool_utilization: registry.gauge("serve.pool.utilization"),
             // dd-lint: allow(trace-hygiene) — uptime anchor for /healthz;
             // a process lifetime is not a span.
             started: Instant::now(),
             n_workers: cfg.workers,
             panic_route: cfg.panic_route,
-            request_seq: AtomicU64::new(0),
             registry,
         }
     }
@@ -256,18 +199,20 @@ impl AppState {
     /// pool's wall-clock capacity spent inside request handlers (sum of
     /// per-endpoint latency over `uptime × workers`).
     fn update_pool_utilization(&self) {
-        let busy: f64 = self.endpoints.iter().map(|(_, m)| m.latency.sum()).sum();
+        let busy: f64 = self
+            .registry
+            .snapshot()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("serve.latency."))
+            .map(|(_, snap)| match snap {
+                MetricSnapshot::Histogram(h) => h.sum,
+                _ => 0.0,
+            })
+            .sum();
         let capacity = self.started.elapsed().as_secs_f64() * self.n_workers as f64;
         if capacity > 0.0 {
             self.pool_utilization.set(busy / capacity);
         }
-    }
-
-    fn endpoint(&self, name: &str) -> Option<&EndpointMetrics> {
-        // ENDPOINTS is tiny and `name` always comes from routing constants;
-        // an unknown name is a routing bug, and losing that one metrics
-        // sample beats panicking on the response path.
-        self.endpoints.iter().find(|(n, _)| *n == name).map(|(_, m)| m)
     }
 
     /// Scores `(src, dst)` against `model` through the LRU cache. `None`
@@ -466,13 +411,6 @@ pub struct IngestResponse {
     pub fingerprint: String,
 }
 
-fn error_body(msg: &str) -> Vec<u8> {
-    format!("{{\"error\":{}}}", serde_json::to_string(&msg.to_string()).unwrap_or_default())
-        .into_bytes()
-}
-
-type Routed = (&'static str, u16, &'static str, Vec<u8>);
-
 fn route(
     state: &AppState,
     model: &Arc<DirectionalityModel>,
@@ -524,19 +462,7 @@ fn route(
             );
             ("metrics", 200, PROM_TEXT, body)
         }
-        (_, "/healthz" | "/score" | "/batch" | "/ingest" | "/metrics" | "/admin/reload") => {
-            ("other", 405, JSON, error_body(&format!("method {} not allowed", req.method)))
-        }
-        (_, path) => ("other", 404, JSON, error_body(&format!("no such endpoint '{path}'"))),
-    }
-}
-
-fn parse_id(req: &http::Request, key: &str) -> Result<u32, String> {
-    match req.query_param(key) {
-        None => Err(format!("missing query parameter '{key}' (expected /score?src=A&dst=B)")),
-        Some(raw) => raw
-            .parse::<u32>()
-            .map_err(|_| format!("query parameter '{key}' must be a node id, got '{raw}'")),
+        _ => unrouted(req),
     }
 }
 
@@ -547,9 +473,9 @@ fn score_endpoint(
     scratch: &mut Vec<f32>,
     stats: &mut RouteStats,
 ) -> Routed {
-    let (src, dst) = match (parse_id(req, "src"), parse_id(req, "dst")) {
-        (Ok(s), Ok(d)) => (s, d),
-        (Err(e), _) | (_, Err(e)) => return ("score", 400, JSON, error_body(&e)),
+    let (src, dst) = match score_query(req) {
+        Ok(pair) => pair,
+        Err(routed) => return routed,
     };
     let fingerprint = Some(format!("{:016x}", model.fingerprint()));
     match state.score_cached(model, src, dst, scratch, stats) {
@@ -577,28 +503,13 @@ fn batch_endpoint(
     scratch: &mut Vec<f32>,
     stats: &mut RouteStats,
 ) -> Routed {
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return ("batch", 400, JSON, error_body("body must be UTF-8 JSONL"));
+    let pairs = match batch_pairs(req) {
+        Ok(pairs) => pairs,
+        Err(routed) => return routed,
     };
     let fingerprint = format!("{:016x}", model.fingerprint());
     let mut out = String::new();
-    let mut n_pairs = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let pair: TiePair = match serde_json::from_str(line) {
-            Ok(p) => p,
-            Err(e) => {
-                return (
-                    "batch",
-                    400,
-                    JSON,
-                    error_body(&format!("line {}: expected {{\"src\":A,\"dst\":B}}: {e}", i + 1)),
-                )
-            }
-        };
-        n_pairs += 1;
+    for pair in pairs {
         let resp = match state.score_cached(model, pair.src, pair.dst, scratch, stats) {
             Some(score) => ScoreResponse {
                 src: pair.src,
@@ -617,9 +528,6 @@ fn batch_endpoint(
         };
         out.push_str(&serde_json::to_string(&resp).unwrap_or_default());
         out.push('\n');
-    }
-    if n_pairs == 0 {
-        return ("batch", 400, JSON, error_body("empty batch: send one JSON pair per line"));
     }
     ("batch", 200, NDJSON, out.into_bytes())
 }
@@ -782,241 +690,62 @@ fn render_metrics(registry: &Registry) -> Vec<u8> {
     prometheus_text(&registry.snapshot(), &families).into_bytes()
 }
 
-fn handle_connection(
-    state: &AppState,
-    reader_slot: &mut SlotReader,
-    scratch: &mut Vec<f32>,
-    stream: TcpStream,
-    accepted: Instant,
-) {
-    // dd-lint: allow(trace-hygiene) — request latency/queue-wait measurement
-    // is the serving path's own instrumentation, reported via telemetry.
-    let start = Instant::now();
-    let start_seconds = now_seconds();
-    let queue_seconds = start.saturating_duration_since(accepted).as_secs_f64();
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(state.request_timeout));
-    let _ = stream.set_write_timeout(Some(state.request_timeout));
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let parsed = http::read_request(&mut reader);
+/// A shard worker's own state, reused across its requests.
+struct ShardWorker {
+    /// Steady-state requests cost one atomic generation load; only the
+    /// first request after a reload re-locks the slot to refresh the Arc.
+    reader: SlotReader,
+    /// Reusable fold-in buffer — the streaming score path never allocates.
+    scratch: Vec<f32>,
+    /// The request's model snapshot, pinned once per request so a reload
+    /// mid-request cannot change what it scores against, and so the
+    /// response fingerprint always names the model that actually answered.
+    model: Arc<DirectionalityModel>,
+    generation: u64,
+    stats: RouteStats,
+}
 
-    // The request's model snapshot: cloned once here so a reload mid-request
-    // cannot change what this request scores against, and so the response
-    // fingerprint always names the model that actually answered.
-    let model = Arc::clone(reader_slot.current());
-    let generation = reader_slot.generation();
+impl Service for AppState {
+    type Worker = ShardWorker;
 
-    // Request trace identity: a client-supplied `traceparent` wins (the
-    // request joins the caller's trace); otherwise each request opens its
-    // own trace derived from the request sequence number.
-    let seq = state.request_seq.fetch_add(1, Ordering::Relaxed);
-    let client_trace =
-        parsed.as_ref().ok().and_then(|r| r.header("traceparent")).and_then(parse_traceparent);
-    let trace_id = client_trace.unwrap_or_else(|| derive_trace_id(seq, "serve.request"));
-    let root_sid = derive_span_id(trace_id, 0, "serve.request", seq);
+    fn worker(&self) -> ShardWorker {
+        let mut reader = self.slot.reader();
+        let model = Arc::clone(reader.current());
+        let generation = reader.generation();
+        ShardWorker { reader, scratch: Vec::new(), model, generation, stats: RouteStats::default() }
+    }
 
-    let mut stats = RouteStats::default();
-    let handler_start_seconds = now_seconds();
-    // dd-lint: allow(trace-hygiene) — handler-phase timing for the request
-    // trace's `serve.handler.*` child span.
-    let handler_start = Instant::now();
-    let (endpoint, status, content_type, body) = match parsed {
-        // Panic isolation: a handler panic becomes a `500` to this client
-        // and a `serve.panics` tick; the worker thread survives and keeps
-        // serving. The state captured here is only read behind its own
-        // locks/atomics, so `AssertUnwindSafe` cannot observe broken
-        // invariants.
-        Ok(req) => {
-            match catch_unwind(AssertUnwindSafe(|| {
-                route(state, &model, generation, &req, scratch, &mut stats)
-            })) {
-                Ok(routed) => routed,
-                Err(_) => {
-                    state.panics.incr();
-                    state.observer.on_event(&Event::serve_panic(&req.path));
-                    ("panic", 500, JSON, error_body("internal error: request handler panicked"))
-                }
+    fn begin(&self, w: &mut ShardWorker) {
+        w.model = Arc::clone(w.reader.current());
+        w.generation = w.reader.generation();
+        w.stats = RouteStats::default();
+    }
+
+    fn route(&self, w: &mut ShardWorker, req: &http::Request, _traceparent: &str) -> Routed {
+        route(self, &w.model, w.generation, req, &mut w.scratch, &mut w.stats)
+    }
+
+    /// Tags the handler span with the request's cache hits/misses, and puts
+    /// the serving model's identity on the trace root so a dashboard can
+    /// slice request latency by reload generation.
+    fn trace(&self, w: &ShardWorker, handler: &HandlerSpan<'_>, root: &mut Event) {
+        for (name, count) in
+            [("serve.cache.hit", w.stats.cache_hits), ("serve.cache.miss", w.stats.cache_misses)]
+        {
+            if count == 0 {
+                continue;
             }
+            let mut tag = Event::span(name, Some(handler.name), 0.0).with_trace(
+                handler.trace_id,
+                derive_span_id(handler.trace_id, handler.span_id, name, 0),
+                Some(handler.span_id),
+            );
+            tag.value = Some(count as f64);
+            tag.start_seconds = Some(handler.start_seconds);
+            self.observer.on_event(&tag);
         }
-        // Port probes (and the shutdown wakeup) connect and say nothing;
-        // not a request, nothing to log.
-        Err(http::ParseError::ConnectionClosed) => return,
-        Err(http::ParseError::Timeout) => {
-            ("timeout", 408, JSON, error_body("timed out reading request"))
-        }
-        Err(e @ http::ParseError::TooLarge(_)) => {
-            ("malformed", 413, JSON, error_body(&e.to_string()))
-        }
-        Err(e @ http::ParseError::Malformed(_)) => {
-            ("malformed", 400, JSON, error_body(&e.to_string()))
-        }
-        Err(http::ParseError::Io(_)) => return,
-    };
-    let handler_seconds = handler_start.elapsed().as_secs_f64();
-    let mut write_half = stream;
-    // Echo the request's trace identity so callers can stitch their trace to
-    // the server's JSONL request log.
-    let traceparent = format_traceparent(SpanContext { trace_id, span_id: root_sid });
-    let _ = http::write_response_with_headers(
-        &mut write_half,
-        status,
-        content_type,
-        &[("traceparent", traceparent)],
-        &body,
-    );
-    let seconds = start.elapsed().as_secs_f64();
-    if let Some(m) = state.endpoint(endpoint) {
-        m.requests.incr();
-        m.latency.record(seconds);
-    }
-    if state.observer.is_enabled() {
-        emit_request_trace(
-            state,
-            &RequestTrace { trace_id, root_sid, endpoint, start_seconds, queue_seconds },
-            handler_start_seconds,
-            handler_seconds,
-            &stats,
-        );
-    }
-    let mut e =
-        Event::serve_request(endpoint, status, seconds).with_trace(trace_id, root_sid, None);
-    e.start_seconds = Some(start_seconds);
-    // The serving model's identity rides on the trace root so a dashboard
-    // can slice request latency by reload generation.
-    e.model_fingerprint = Some(format!("{:016x}", model.fingerprint()));
-    e.fields = Some(vec![("model.generation".to_string(), generation as f64)]);
-    state.observer.on_event(&e);
-}
-
-/// Identity and timing of one request's trace root.
-struct RequestTrace {
-    trace_id: u64,
-    root_sid: u64,
-    endpoint: &'static str,
-    start_seconds: f64,
-    queue_seconds: f64,
-}
-
-/// Emits the per-request child spans: accept-queue wait, the handler phase,
-/// and cache hit/miss tags. All share the request's trace ID and parent to
-/// the `serve.request` root (the request-log event itself).
-fn emit_request_trace(
-    state: &AppState,
-    req: &RequestTrace,
-    handler_start_seconds: f64,
-    handler_seconds: f64,
-    stats: &RouteStats,
-) {
-    let mut queue = Event::span("serve.queue_wait", Some("serve.request"), req.queue_seconds)
-        .with_trace(
-            req.trace_id,
-            derive_span_id(req.trace_id, req.root_sid, "serve.queue_wait", 0),
-            Some(req.root_sid),
-        );
-    queue.start_seconds = Some((req.start_seconds - req.queue_seconds).max(0.0));
-    state.observer.on_event(&queue);
-
-    let handler_name = format!("serve.handler.{}", req.endpoint);
-    let handler_sid = derive_span_id(req.trace_id, req.root_sid, &handler_name, 0);
-    let mut handler = Event::span(&handler_name, Some("serve.request"), handler_seconds)
-        .with_trace(req.trace_id, handler_sid, Some(req.root_sid));
-    handler.start_seconds = Some(handler_start_seconds);
-    state.observer.on_event(&handler);
-
-    for (name, count) in
-        [("serve.cache.hit", stats.cache_hits), ("serve.cache.miss", stats.cache_misses)]
-    {
-        if count == 0 {
-            continue;
-        }
-        let mut tag = Event::span(name, Some(handler_name.as_str()), 0.0).with_trace(
-            req.trace_id,
-            derive_span_id(req.trace_id, handler_sid, name, 0),
-            Some(handler_sid),
-        );
-        tag.value = Some(count as f64);
-        tag.start_seconds = Some(handler_start_seconds);
-        state.observer.on_event(&tag);
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    tx: SyncSender<(TcpStream, Instant)>,
-    shutdown: Arc<AtomicBool>,
-    state: Arc<AppState>,
-) {
-    for conn in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match conn {
-            // The accept timestamp rides along so the handling worker can
-            // report how long the connection sat in the queue.
-            // dd-lint: allow(trace-hygiene) — queue-wait enqueue timestamp.
-            Ok(stream) => match tx.try_send((stream, Instant::now())) {
-                Ok(()) => {}
-                Err(TrySendError::Full((stream, _))) => {
-                    state.queue_rejections.incr();
-                    state.observer.on_event(&Event::serve_request("rejected", 503, 0.0));
-                    let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                    let _ = http::write_response(
-                        &mut stream,
-                        503,
-                        JSON,
-                        &error_body("accept queue full, retry later"),
-                    );
-                }
-                Err(TrySendError::Disconnected(_)) => break,
-            },
-            Err(_) if shutdown.load(Ordering::SeqCst) => break,
-            // Transient accept errors (EMFILE, aborted handshakes) must not
-            // kill the server.
-            Err(_) => {}
-        }
-    }
-}
-
-fn worker_loop(rx: Arc<Mutex<Receiver<(TcpStream, Instant)>>>, state: Arc<AppState>) {
-    // Each worker owns a slot reader: steady-state requests cost one atomic
-    // generation load; only the first request after a reload re-locks the
-    // slot to refresh the cached Arc. The scratch vector is the worker's
-    // reusable fold-in buffer — the streaming score path never allocates.
-    let mut reader_slot = state.slot.reader();
-    let mut scratch: Vec<f32> = Vec::new();
-    loop {
-        // Holding the lock while blocked in `recv` is the shared-receiver
-        // pattern: exactly one worker waits in recv, the rest wait on the
-        // mutex, and handling happens outside the lock — so the pool still
-        // processes in parallel. Poison recovery is sound because nothing
-        // under the lock can panic (it only wraps `recv`); connection
-        // handling runs outside it, under `catch_unwind`.
-        // dd-lint: allow(blocking-while-locked) — shared-receiver idiom:
-        // the mutex IS the recv token for the worker pool, held only for
-        // the blocking recv itself
-        let next = { rx.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).recv() };
-        match next {
-            Ok((stream, accepted)) => {
-                // Backstop: `handle_connection` already isolates handler
-                // panics, but a panic anywhere else on the connection path
-                // (response write, metrics) must not kill the worker either
-                // — a dead worker would silently shrink the pool.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    handle_connection(&state, &mut reader_slot, &mut scratch, stream, accepted)
-                }));
-                if outcome.is_err() {
-                    state.panics.incr();
-                    // A panic can leave the scratch buffer mid-fill; a fresh
-                    // buffer restores the all-paths-identical invariant
-                    // (the fold-in clears it anyway, but cheap certainty).
-                    scratch = Vec::new();
-                }
-            }
-            // Sender dropped and queue drained: graceful exit.
-            Err(_) => break,
-        }
+        root.model_fingerprint = Some(format!("{:016x}", w.model.fingerprint()));
+        root.fields = Some(vec![("model.generation".to_string(), w.generation as f64)]);
     }
 }
 
@@ -1039,38 +768,19 @@ impl Server {
     /// (tests, embedding hosts).
     pub fn start_with_slot(slot: Arc<ModelSlot>, cfg: ServeConfig) -> Result<ServerHandle, String> {
         cfg.validate()?;
-        let listener =
-            TcpListener::bind(&cfg.addr).map_err(|e| format!("binding {}: {e}", cfg.addr))?;
-        let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let state = Arc::new(AppState::new(Arc::clone(&slot), &cfg));
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(TcpStream, Instant)>(cfg.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = {
-            let state = Arc::clone(&state);
-            WorkerPool::start(
-                "dd-serve-worker",
-                Threads::new(cfg.workers).map_err(|e| format!("serve workers: {e}"))?,
-                move |_| worker_loop(Arc::clone(&rx), Arc::clone(&state)),
-            )?
-        };
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let state = Arc::clone(&state);
-            spawn_named("dd-serve-acceptor", move || accept_loop(listener, tx, shutdown, state))?
-        };
-
-        Ok(ServerHandle {
-            addr,
-            registry: Arc::clone(&state.registry),
+        let front_cfg = FrontConfig {
+            prefix: "serve",
+            log_prefix: "",
+            queue_full: "accept queue full, retry later",
+            addr: cfg.addr,
+            workers: cfg.workers,
+            queue_depth: cfg.queue_depth,
+            request_timeout: cfg.request_timeout,
             observer: cfg.observer,
-            slot,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers,
-        })
+        };
+        let front = front::start(front_cfg, Arc::clone(&state.registry), state)?;
+        Ok(ServerHandle { front, slot })
     }
 }
 
@@ -1078,24 +788,19 @@ impl Server {
 /// call [`ServerHandle::shutdown`] to do it explicitly and get the request
 /// count back.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    registry: Arc<Registry>,
-    observer: ObserverHandle,
+    front: FrontHandle,
     slot: Arc<ModelSlot>,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: WorkerPool,
 }
 
 impl ServerHandle {
     /// The bound address (resolves port `0` to the actual ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// The server's metric registry (same data `/metrics` renders).
     pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
+        self.front.registry()
     }
 
     /// The hot-swappable model slot the server scores from.
@@ -1105,43 +810,13 @@ impl ServerHandle {
 
     /// Total requests handled so far, across all endpoints.
     pub fn requests_total(&self) -> u64 {
-        self.registry
-            .snapshot()
-            .into_iter()
-            .filter(|(name, _)| name.starts_with("serve.requests."))
-            .map(|(_, snap)| match snap {
-                MetricSnapshot::Counter(c) => c,
-                _ => 0,
-            })
-            .sum()
+        self.front.requests_total()
     }
 
     /// Graceful shutdown: stop accepting, drain every queued and in-flight
     /// request, join the pool, flush the request log. Returns the total
     /// number of requests served.
     pub fn shutdown(mut self) -> u64 {
-        self.shutdown_impl();
-        self.requests_total()
-    }
-
-    fn shutdown_impl(&mut self) {
-        if self.acceptor.is_none() && self.workers.is_empty() {
-            return;
-        }
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the acceptor's blocking `accept` with a wakeup connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // The acceptor dropped the sender; workers drain the queue and exit.
-        self.workers.join();
-        self.observer.flush();
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown_impl();
+        self.front.shutdown()
     }
 }

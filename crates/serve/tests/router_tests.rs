@@ -4,6 +4,8 @@
 //! failures, unhealthy quarantine + re-probe after a shard comes back, and
 //! fleet-wide reload fan-out.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,6 +17,7 @@ use dd_serve::client;
 use dd_serve::{
     Router, RouterConfig, RouterHealth, ScoreResponse, ServeConfig, Server, ServerHandle,
 };
+use dd_telemetry::ObserverHandle;
 use dd_testkit::KillSchedule;
 use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
 use rand::rngs::StdRng;
@@ -307,4 +310,86 @@ fn fleet_reload_fans_out_to_every_shard() {
     for s in shards {
         s.shutdown();
     }
+}
+
+/// One routed request is one trace: a client `traceparent` sent to the
+/// router is echoed back, and the router's and the shard's request-log
+/// roots both carry its trace id, with the router's queue-wait and handler
+/// spans parented to the router's root.
+#[test]
+fn routed_request_is_one_trace_from_client_to_shard() {
+    let model = Arc::new(fit_model());
+    let log = |side: &str| {
+        let path = std::env::temp_dir()
+            .join(format!("dd_router_trace_{side}_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let sink = dd_telemetry::JsonlSink::create(&path).expect("jsonl sink");
+        (path, ObserverHandle::new(Arc::new(sink)))
+    };
+    let (shard_log, shard_observer) = log("shard");
+    let (router_log, router_observer) = log("router");
+    let shard = Server::start(
+        Arc::clone(&model),
+        ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            observer: shard_observer,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("shard starts");
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".to_string(),
+        shards: vec![shard.addr().to_string()],
+        observer: router_observer,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+
+    let &(src, dst) = model.ties().first().expect("model has ties");
+    let supplied = "00-000000000000000000000000deadbeef-0000000000000001-01";
+    let mut raw = TcpStream::connect(router.addr()).unwrap();
+    raw.write_all(
+        format!(
+            "GET /score?src={src}&dst={dst} HTTP/1.1\r\nHost: x\r\ntraceparent: {supplied}\r\n\r\n"
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    let mut resp = String::new();
+    raw.read_to_string(&mut resp).unwrap();
+    assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+    let echoed = resp
+        .lines()
+        .find_map(|l| l.strip_prefix("traceparent: "))
+        .expect("router echoes traceparent");
+    assert!(echoed.contains("deadbeef-"), "echo carries the supplied trace id, got: {echoed}");
+
+    router.shutdown(); // flushes the router's request log
+    shard.shutdown();
+    let trace = "00000000deadbeef"; // low 64 bits of the 128-bit field
+    let root = |path: &std::path::Path, name: &str| {
+        let events = dd_telemetry::read_jsonl(path).expect("readable request log");
+        let root = events
+            .iter()
+            .find(|e| e.kind == "serve.request" && e.name.as_deref() == Some(name))
+            .unwrap_or_else(|| panic!("no {name} request logged"))
+            .clone();
+        (events, root)
+    };
+    let (router_events, router_root) = root(&router_log, "router.score");
+    let (_, shard_root) = root(&shard_log, "score");
+    assert_eq!(router_root.trace_id.as_deref(), Some(trace), "router joins the client's trace");
+    assert_eq!(shard_root.trace_id.as_deref(), Some(trace), "shard joins the same trace");
+
+    let root_sid = router_root.span_id.expect("router root has a span id");
+    let children: Vec<&str> = router_events
+        .iter()
+        .filter(|e| e.kind == "span" && e.parent_span_id.as_deref() == Some(root_sid.as_str()))
+        .filter_map(|e| e.name.as_deref())
+        .collect();
+    assert!(children.contains(&"router.queue_wait"), "missing queue-wait span: {children:?}");
+    assert!(children.contains(&"router.handler.score"), "missing handler span: {children:?}");
+
+    let _ = std::fs::remove_file(&shard_log);
+    let _ = std::fs::remove_file(&router_log);
 }

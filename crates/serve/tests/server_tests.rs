@@ -12,8 +12,10 @@ use dd_graph::generators::{social_network, SocialNetConfig};
 use dd_graph::sampling::hide_directions;
 use dd_graph::NodeId;
 use dd_serve::client;
-use dd_serve::{ScoreResponse, ServeConfig, Server, ServerHandle};
-use dd_telemetry::{MetricSnapshot, ObserverHandle};
+use dd_serve::{
+    Router, RouterConfig, RouterHandle, ScoreResponse, ServeConfig, Server, ServerHandle,
+};
+use dd_telemetry::{MetricSnapshot, ObserverHandle, Registry};
 use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,9 +38,8 @@ fn start(cfg_mutator: impl FnOnce(&mut ServeConfig)) -> (Arc<DirectionalityModel
     (model, handle)
 }
 
-fn counter(handle: &ServerHandle, name: &str) -> u64 {
-    handle
-        .registry()
+fn counter(registry: &Registry, name: &str) -> u64 {
+    registry
         .snapshot()
         .into_iter()
         .find(|(n, _)| n == name)
@@ -47,6 +48,64 @@ fn counter(handle: &ServerHandle, name: &str) -> u64 {
             _ => None,
         })
         .unwrap_or_else(|| panic!("no counter named {name}"))
+}
+
+/// The process under test: a shard on its own, or a one-shard router in
+/// front of one. Both run the same HTTP front end (accept queue, request
+/// frame, timeouts), so each front-end behaviour is checked against both.
+enum Front {
+    Shard(ServerHandle),
+    Router(RouterHandle, ServerHandle),
+}
+
+impl Front {
+    fn addr(&self) -> String {
+        match self {
+            Front::Shard(s) => s.addr().to_string(),
+            Front::Router(r, _) => r.addr().to_string(),
+        }
+    }
+
+    /// A counter of the process under test, named without its `serve.` or
+    /// `router.` prefix.
+    fn counter(&self, name: &str) -> u64 {
+        match self {
+            Front::Shard(s) => counter(&s.registry(), &format!("serve.{name}")),
+            Front::Router(r, _) => counter(&r.registry(), &format!("router.{name}")),
+        }
+    }
+
+    fn shutdown(self) {
+        match self {
+            Front::Shard(s) => {
+                s.shutdown();
+            }
+            Front::Router(r, s) => {
+                r.shutdown();
+                s.shutdown();
+            }
+        }
+    }
+}
+
+/// A shard and a one-shard router, each with the given front-end sizing.
+fn fronts(workers: usize, queue_depth: usize, request_timeout: Duration) -> [Front; 2] {
+    let (_, shard) = start(|cfg| {
+        cfg.workers = workers;
+        cfg.queue_depth = queue_depth;
+        cfg.request_timeout = request_timeout;
+    });
+    let (_, upstream) = start(|_| {});
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".to_string(),
+        shards: vec![upstream.addr().to_string()],
+        workers,
+        queue_depth,
+        request_timeout,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+    [Front::Shard(shard), Front::Router(router, upstream)]
 }
 
 /// The acceptance-criteria test: >= 64 concurrent requests from >= 8 client
@@ -91,7 +150,7 @@ fn concurrent_requests_match_offline_scores_bit_for_bit() {
     });
 
     let total = (N_THREADS * PER_THREAD) as u64;
-    assert_eq!(counter(&handle, "serve.requests.score"), total);
+    assert_eq!(counter(&handle.registry(), "serve.requests.score"), total);
     assert_eq!(handle.requests_total(), total);
 
     // The latency histogram must have recorded every request.
@@ -268,48 +327,83 @@ fn batch_endpoint_scores_many_pairs_per_request() {
 
 #[test]
 fn malformed_requests_get_4xx_not_hangs() {
-    let (_model, handle) = start(|_| {});
-    let addr = handle.addr().to_string();
+    let defaults = ServeConfig::default();
+    for front in fronts(defaults.workers, defaults.queue_depth, defaults.request_timeout) {
+        let addr = front.addr();
 
-    // Missing and unparseable query parameters.
-    assert_eq!(client::get(&addr, "/score").unwrap().status, 400);
-    assert_eq!(client::get(&addr, "/score?src=1").unwrap().status, 400);
-    assert_eq!(client::get(&addr, "/score?src=x&dst=2").unwrap().status, 400);
-    // Unknown route and bad method.
-    assert_eq!(client::get(&addr, "/nope").unwrap().status, 404);
-    assert_eq!(client::post(&addr, "/score?src=1&dst=2", "").unwrap().status, 405);
-    assert_eq!(client::get(&addr, "/batch").unwrap().status, 405);
+        // Missing and unparseable query parameters.
+        assert_eq!(client::get(&addr, "/score").unwrap().status, 400);
+        assert_eq!(client::get(&addr, "/score?src=1").unwrap().status, 400);
+        assert_eq!(client::get(&addr, "/score?src=x&dst=2").unwrap().status, 400);
+        // Unknown route and bad method.
+        assert_eq!(client::get(&addr, "/nope").unwrap().status, 404);
+        assert_eq!(client::post(&addr, "/score?src=1&dst=2", "").unwrap().status, 405);
+        assert_eq!(client::get(&addr, "/batch").unwrap().status, 405);
 
-    // Raw garbage on the socket gets a 400, not a dropped worker.
-    let mut raw = TcpStream::connect(&addr).unwrap();
-    raw.write_all(b"THIS IS NOT HTTP\r\n\r\n").unwrap();
-    let mut buf = String::new();
-    raw.read_to_string(&mut buf).unwrap();
-    assert!(buf.starts_with("HTTP/1.1 400"), "got: {buf}");
+        // Raw garbage on the socket gets a 400, not a dropped worker.
+        let mut raw = TcpStream::connect(&addr).unwrap();
+        raw.write_all(b"THIS IS NOT HTTP\r\n\r\n").unwrap();
+        let mut buf = String::new();
+        raw.read_to_string(&mut buf).unwrap();
+        assert!(buf.starts_with("HTTP/1.1 400"), "got: {buf}");
 
-    // The server is still healthy afterwards.
-    assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
-    assert!(counter(&handle, "serve.requests.malformed") >= 1);
-    handle.shutdown();
+        // The server is still healthy afterwards.
+        assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
+        assert!(front.counter("requests.malformed") >= 1);
+        front.shutdown();
+    }
 }
 
 #[test]
 fn slow_clients_hit_the_request_timeout() {
-    let (_model, handle) = start(|cfg| cfg.request_timeout = Duration::from_millis(200));
-    let addr = handle.addr().to_string();
+    let defaults = ServeConfig::default();
+    for front in fronts(defaults.workers, defaults.queue_depth, Duration::from_millis(200)) {
+        let addr = front.addr();
 
-    // Open a connection, send half a request line, then stall.
-    let mut stalled = TcpStream::connect(&addr).unwrap();
-    stalled.write_all(b"GET /score?src=").unwrap();
-    stalled.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut buf = String::new();
-    stalled.read_to_string(&mut buf).unwrap();
-    assert!(buf.starts_with("HTTP/1.1 408"), "stalled client should get 408, got: {buf}");
+        // Open a connection, send half a request line, then stall.
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        stalled.write_all(b"GET /score?src=").unwrap();
+        stalled.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = String::new();
+        stalled.read_to_string(&mut buf).unwrap();
+        assert!(buf.starts_with("HTTP/1.1 408"), "stalled client should get 408, got: {buf}");
 
-    assert!(counter(&handle, "serve.requests.timeout") >= 1);
-    // Healthy clients are unaffected.
-    assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
-    handle.shutdown();
+        assert!(front.counter("requests.timeout") >= 1);
+        // Healthy clients are unaffected.
+        assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
+        front.shutdown();
+    }
+}
+
+/// With one worker and a one-slot queue, a silent connection holds the
+/// worker, the next one waits in the queue, and any further connection is
+/// answered `503` at once instead of queueing without bound.
+#[test]
+fn full_accept_queue_answers_503() {
+    for front in fronts(1, 1, Duration::from_secs(5)) {
+        let addr = front.addr();
+        let hold = TcpStream::connect(&addr).unwrap();
+        // A connection that stays unanswered for a second sits in the worker
+        // or the queue; at most two can. Whether the worker has dequeued
+        // `hold` yet decides which connection is the first rejected, so
+        // connect until one is answered.
+        let mut waiting = Vec::new();
+        let rejected = loop {
+            assert!(waiting.len() < 2, "worker and queue hold only two connections");
+            let mut conn = TcpStream::connect(&addr).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+            let mut buf = String::new();
+            match conn.read_to_string(&mut buf) {
+                Ok(_) => break buf,
+                Err(_) => waiting.push(conn),
+            }
+        };
+        assert!(rejected.starts_with("HTTP/1.1 503"), "got: {rejected}");
+        assert!(rejected.contains("queue full"), "got: {rejected}");
+        assert!(front.counter("rejected.queue_full") >= 1);
+        drop((hold, waiting));
+        front.shutdown();
+    }
 }
 
 #[test]
@@ -331,9 +425,9 @@ fn cache_eviction_is_counted_and_bounded() {
         }
     }
 
-    let hits = counter(&handle, "serve.cache.hits");
-    let misses = counter(&handle, "serve.cache.misses");
-    let evictions = counter(&handle, "serve.cache.evictions");
+    let hits = counter(&handle.registry(), "serve.cache.hits");
+    let misses = counter(&handle.registry(), "serve.cache.misses");
+    let evictions = counter(&handle.registry(), "serve.cache.evictions");
     assert_eq!(hits + misses, 2 * ties.len() as u64, "every lookup is a hit or a miss");
     assert!(misses >= ties.len() as u64, "first pass must miss");
     assert!(evictions > 0, "12 ties through 4 slots must evict");
@@ -348,8 +442,8 @@ fn unknown_ties_are_never_cached() {
         let resp = client::get(&addr, "/score?src=4294967295&dst=4294967294").unwrap();
         assert_eq!(resp.status, 404);
     }
-    assert_eq!(counter(&handle, "serve.cache.hits"), 0);
-    assert_eq!(counter(&handle, "serve.cache.misses"), 0);
+    assert_eq!(counter(&handle.registry(), "serve.cache.hits"), 0);
+    assert_eq!(counter(&handle.registry(), "serve.cache.misses"), 0);
     handle.shutdown();
 }
 
