@@ -449,14 +449,14 @@ fn serve_observer(args: &Args) -> Result<ObserverHandle, String> {
 }
 
 /// `dd serve <model> --shards N`: fleet mode. Spawns N shard processes of
-/// this same binary (`dd serve <model> --port 0`), parses each shard's
-/// listening line for its resolved address, fronts them with an in-process
-/// consistent-hash router, and supervises the children: an unexpected shard
-/// exit is reported (the router fails over to the survivors), and SIGINT
-/// drains the router first, then cascades SIGINT to every shard
-/// (DESIGN.md §7.14 drain ordering).
+/// this same binary (`dd serve <model> --port 0`) at once, parses each
+/// shard's listening line for its resolved address, fronts them with an
+/// in-process consistent-hash router, and supervises the children: an
+/// unexpected shard exit is reported (the router fails over to the
+/// survivors), and SIGINT drains the router first, then cascades SIGINT to
+/// every shard (DESIGN.md §7.14 drain ordering).
 fn serve_fleet(args: &Args, shards: usize) -> Result<String, String> {
-    use std::io::{BufRead, Read};
+    use std::io::Read;
 
     let model_path = args.positional(0, "model")?;
     let host = args.get("host", "127.0.0.1");
@@ -476,82 +476,75 @@ fn serve_fleet(args: &Args, shards: usize) -> Result<String, String> {
         }
     };
 
+    // Each shard loads the model itself on an ephemeral port; stderr is
+    // inherited so shard failures surface in the supervisor's terminal.
+    let mut shard_args: Vec<String> = [
+        "serve",
+        model_path,
+        "--host",
+        &host,
+        "--port",
+        "0",
+        "--workers",
+        &workers.to_string(),
+        "--cache-size",
+        &args.get_num("cache-size", 4096usize)?.to_string(),
+        "--request-timeout-ms",
+        &args.get_num("request-timeout-ms", 5000u64)?.to_string(),
+        "--queue-depth",
+        &args.get_num("queue-depth", 64usize)?.to_string(),
+    ]
+    .map(str::to_string)
+    .to_vec();
+    if args.get_bool("stream") {
+        // Every shard folds in the same event stream: the router fans
+        // `/ingest` to all of them, keeping their overlays identical.
+        shard_args.push("--stream".to_string());
+    }
+
+    // Spawn every shard first so they load the model concurrently: a cold
+    // start costs the slowest shard's load, not the sum of them.
     let mut children: Vec<std::process::Child> = Vec::with_capacity(shards);
+    for i in 0..shards {
+        let spawned = std::process::Command::new(&exe)
+            .args(&shard_args)
+            .stdout(std::process::Stdio::piped())
+            .spawn();
+        match spawned {
+            Ok(child) => children.push(child),
+            Err(e) => {
+                kill_all(&mut children);
+                return Err(format!("spawning shard {i}: {e}"));
+            }
+        }
+    }
+
+    // Then read each shard's listening line in index order, so the
+    // `shard i … listening` lines come out in order. Any failure reaps
+    // every spawned shard, not only those already read.
     let mut shard_addrs = Vec::with_capacity(shards);
     // Shard stdout readers stay alive for the whole fleet lifetime:
     // dropping one closes the pipe, and the shard's own drain summary
     // would then die on a broken stdout instead of exiting cleanly.
     let mut readers = Vec::with_capacity(shards);
     for i in 0..shards {
-        // Each shard loads the model itself on an ephemeral port; stderr is
-        // inherited so shard failures surface in the supervisor's terminal.
-        let mut shard_args: Vec<String> = [
-            "serve",
-            model_path,
-            "--host",
-            &host,
-            "--port",
-            "0",
-            "--workers",
-            &workers.to_string(),
-            "--cache-size",
-            &args.get_num("cache-size", 4096usize)?.to_string(),
-            "--request-timeout-ms",
-            &args.get_num("request-timeout-ms", 5000u64)?.to_string(),
-            "--queue-depth",
-            &args.get_num("queue-depth", 64usize)?.to_string(),
-        ]
-        .map(str::to_string)
-        .to_vec();
-        if args.get_bool("stream") {
-            // Every shard folds in the same event stream: the router fans
-            // `/ingest` to all of them, keeping their overlays identical.
-            shard_args.push("--stream".to_string());
-        }
-        let spawned = std::process::Command::new(&exe)
-            .args(&shard_args)
-            .stdout(std::process::Stdio::piped())
-            .spawn();
-        let mut child = match spawned {
-            Ok(c) => c,
+        let pid = children[i].id();
+        let listening = match children[i].stdout.take() {
+            Some(stdout) => {
+                let mut reader = std::io::BufReader::new(stdout);
+                read_listening_line(&mut reader, i, model_path).map(|addr| (addr, reader))
+            }
+            None => Err(format!("shard {i}: no stdout pipe")),
+        };
+        let (addr, reader) = match listening {
+            Ok(found) => found,
             Err(e) => {
                 kill_all(&mut children);
-                return Err(format!("spawning shard {i}: {e}"));
+                return Err(e);
             }
         };
-        let Some(stdout) = child.stdout.take() else {
-            children.push(child);
-            kill_all(&mut children);
-            return Err(format!("shard {i}: no stdout pipe"));
-        };
-        let mut reader = std::io::BufReader::new(stdout);
-        let mut line = String::new();
-        let addr = loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    children.push(child);
-                    kill_all(&mut children);
-                    return Err(format!(
-                        "shard {i} exited before printing its listening line (is '{model_path}' \
-                         a valid model?)"
-                    ));
-                }
-                Ok(_) => {
-                    if let Some(rest) = line.trim().strip_prefix("dd-serve listening on http://") {
-                        break rest.to_string();
-                    }
-                }
-                Err(e) => {
-                    children.push(child);
-                    kill_all(&mut children);
-                    return Err(format!("reading shard {i} stdout: {e}"));
-                }
-            }
-        };
-        println!("shard {i} (pid {}) listening on http://{addr}", child.id());
+        println!("shard {i} (pid {pid}) listening on http://{addr}");
         shard_addrs.push(addr);
-        children.push(child);
         readers.push(reader);
     }
 
@@ -627,6 +620,33 @@ fn serve_fleet(args: &Args, shards: usize) -> Result<String, String> {
         "dd-fleet: drained and stopped after {served} routed requests \
          ({drained}/{shards} shards drained cleanly)"
     ))
+}
+
+/// Reads shard `i`'s stdout up to its `dd-serve listening on http://ADDR`
+/// contract line and returns `ADDR`.
+fn read_listening_line(
+    reader: &mut impl std::io::BufRead,
+    i: usize,
+    model_path: &str,
+) -> Result<String, String> {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(0) => {
+                return Err(format!(
+                    "shard {i} exited before printing its listening line (is '{model_path}' \
+                     a valid model?)"
+                ))
+            }
+            Ok(_) => {
+                if let Some(rest) = line.trim().strip_prefix("dd-serve listening on http://") {
+                    return Ok(rest.to_string());
+                }
+            }
+            Err(e) => return Err(format!("reading shard {i} stdout: {e}")),
+        }
+    }
 }
 
 /// `dd events <edges> --out <file.jsonl>`: generates a temporal

@@ -11,10 +11,11 @@
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use dd_graph::NodeId;
 use dd_serve::client;
-use dd_serve::ScoreResponse;
+use dd_serve::{RouterHealth, ScoreResponse};
 use deepdirect::DirectionalityModel;
 
 fn dd() -> Command {
@@ -384,11 +385,14 @@ fn serve_e2e_binary_model_is_bit_identical_to_json() {
 
 /// Fleet mode end-to-end: `dd serve --shards 2` spawns two shard processes
 /// plus the in-process router, routed scores stay bit-identical to offline
-/// scoring, and SIGINT drains the whole fleet (router first, then shards).
+/// scoring, a router `/admin/reload` moves both shards to a second model,
+/// a `kill -9` of a shard process mid-loop costs no request, and SIGINT
+/// drains the fleet (router first, then the surviving shard).
 #[test]
 fn serve_e2e_fleet_mode_routes_and_drains() {
     let edges = tmp("graph_fleet.edges");
     let model_path = tmp("model_fleet.json");
+    let next_path = tmp("model_fleet_next.json");
 
     let out = dd()
         .args(["generate", "twitter", "--scale", "300", "--out", &edges])
@@ -422,22 +426,25 @@ fn serve_e2e_fleet_mode_routes_and_drains() {
     let mut guard = ChildGuard(Some(child));
     let mut reader = BufReader::new(stdout);
 
-    // The supervisor prints one line per shard, then the router contract
-    // line — that one carries the address clients use.
-    let mut shard_lines = 0usize;
+    // The supervisor prints one `shard i (pid P) listening on http://ADDR`
+    // line per shard, in index order, then the router contract line — that
+    // one carries the address clients use.
+    let mut shard_pids: Vec<(String, String)> = Vec::new();
     let mut line = String::new();
     let addr = loop {
         line.clear();
         let n = reader.read_line(&mut line).expect("read fleet stdout");
         assert!(n > 0, "fleet exited before printing its router line");
-        if line.trim_start().starts_with("shard ") && line.contains("listening on http://") {
-            shard_lines += 1;
+        if let Some(rest) = line.trim().strip_prefix(&format!("shard {} (pid ", shard_pids.len())) {
+            let (pid, shard_addr) =
+                rest.split_once(") listening on http://").expect("shard line names pid and addr");
+            shard_pids.push((shard_addr.to_string(), pid.to_string()));
         }
         if let Some(rest) = line.trim().strip_prefix("dd-router listening on http://") {
             break rest.to_string();
         }
     };
-    assert_eq!(shard_lines, 2, "supervisor should report both shards before the router");
+    assert_eq!(shard_pids.len(), 2, "supervisor should report both shards before the router");
 
     let model = Arc::new(DirectionalityModel::load_from_path(&model_path).unwrap());
     let retry = client::RetryPolicy::default();
@@ -474,8 +481,98 @@ fn serve_e2e_fleet_mode_routes_and_drains() {
     );
     assert_prometheus_exposition(&metrics.body);
 
-    // SIGINT the supervisor: router drains first, then both shards; the
-    // fleet summary reports both shards exiting cleanly.
+    // Router hot reload to a second model: both shards report the
+    // fingerprint `dd export` prints for it, at generation 2, and routed
+    // scores follow the new model.
+    let out = dd()
+        .args([
+            "train",
+            &edges,
+            "--out",
+            &next_path,
+            "--dim",
+            "8",
+            "--iterations",
+            "8000",
+            "--seed",
+            "47",
+        ])
+        .output()
+        .expect("dd train runs");
+    assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = dd()
+        .args(["export", &next_path, "--out", &tmp("model_fleet_next.ddm"), "--binary"])
+        .output()
+        .expect("dd export runs");
+    assert!(out.status.success(), "export failed: {}", String::from_utf8_lossy(&out.stderr));
+    let export_line = String::from_utf8_lossy(&out.stdout).to_string();
+    let (_, after) = export_line.split_once("fingerprint ").expect("export prints its fingerprint");
+    let next_fp: String = after.chars().take(16).collect();
+    assert_ne!(next_fp, fp, "the second model must differ from the first");
+    let reload = format!("{{\"path\":{}}}", serde_json::to_string(&next_path).unwrap());
+    let resp = client::post(&addr, "/admin/reload", &reload).unwrap();
+    assert_eq!(resp.status, 200, "fleet reload failed: {}", resp.body);
+    let health: RouterHealth =
+        serde_json::from_str(&client::get(&addr, "/healthz").unwrap().body).unwrap();
+    assert_eq!((health.status.as_str(), health.healthy_shards), ("ok", 2), "{health:?}");
+    for shard in &health.shards {
+        assert!(shard.healthy, "{shard:?}");
+        assert_eq!(shard.fingerprint.as_deref(), Some(next_fp.as_str()), "{shard:?}");
+        assert_eq!(shard.generation, Some(2), "{shard:?}");
+    }
+    let next = DirectionalityModel::load_from_path(&next_path).unwrap();
+    let &(src, dst) = next.ties().first().expect("a trained tie");
+    let score_path = format!("/score?src={src}&dst={dst}");
+    let resp = client::get(&addr, &score_path).unwrap();
+    let parsed: ScoreResponse = serde_json::from_str(&resp.body).unwrap();
+    let expected = next.score(NodeId(src), NodeId(dst)).unwrap();
+    assert_eq!(parsed.score.unwrap().to_bits(), expected.to_bits());
+
+    // `kill -9` the shard that owns the tie in the middle of a request loop:
+    // the router fails over to the survivor, so no request sees a non-200,
+    // and the router then reports the degraded fleet and the failover.
+    let forwards = || -> Vec<u64> {
+        let metrics = client::get(&addr, "/metrics").unwrap().body;
+        let count = |shard_addr: &str| {
+            let series = format!("dd_router_shard_forwards_total{{shard=\"{shard_addr}\"}} ");
+            metrics.lines().find_map(|l| l.strip_prefix(&series)).map_or(0, |v| v.parse().unwrap())
+        };
+        shard_pids.iter().map(|(shard_addr, _)| count(shard_addr)).collect()
+    };
+    let before = forwards();
+    for _ in 0..20 {
+        assert_eq!(client::get(&addr, &score_path).unwrap().status, 200);
+    }
+    let after = forwards();
+    let owner = (0..shard_pids.len()).max_by_key(|&i| after[i] - before[i]).unwrap();
+    let victim_pid = &shard_pids[owner].1;
+    let mut failures = Vec::new();
+    for i in 0..120 {
+        if i == 40 {
+            let status = Command::new("kill").args(["-9", victim_pid]).status().expect("kill runs");
+            assert!(status.success(), "SIGKILL shard pid {victim_pid}");
+        }
+        match client::get(&addr, &score_path) {
+            Ok(resp) if resp.status == 200 => {}
+            Ok(resp) => failures.push(format!("request {i}: {} {}", resp.status, resp.body)),
+            Err(e) => failures.push(format!("request {i}: {e}")),
+        }
+    }
+    assert!(failures.is_empty(), "requests failed during failover: {failures:?}");
+    let health: RouterHealth =
+        serde_json::from_str(&client::get(&addr, "/healthz").unwrap().body).unwrap();
+    assert_eq!((health.status.as_str(), health.healthy_shards), ("degraded", 1), "{health:?}");
+    let metrics = client::get(&addr, "/metrics").unwrap().body;
+    let failovers: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("dd_router_failovers_total "))
+        .expect("failover counter exported")
+        .parse()
+        .unwrap();
+    assert!(failovers >= 1, "router never recorded a failover");
+
+    // SIGINT the supervisor: router drains first, then the surviving
+    // shard; the fleet summary reports it exiting cleanly.
     let status =
         Command::new("kill").args(["-INT", &guard.pid().to_string()]).status().expect("kill runs");
     assert!(status.success());
@@ -487,6 +584,52 @@ fn serve_e2e_fleet_mode_routes_and_drains() {
         rest.contains("dd-fleet: drained and stopped"),
         "missing fleet drain summary: {rest:?}"
     );
-    assert!(rest.contains("(2/2 shards drained cleanly)"), "shards must drain cleanly: {rest:?}");
+    assert!(rest.contains("(1/2 shards drained cleanly)"), "survivor must drain cleanly: {rest:?}");
     guard.0.take();
+}
+
+/// A fleet whose model is missing fails fast: `dd serve --shards 2` exits
+/// non-zero with an error naming a shard and the path, never starts the
+/// router, and leaves no shard process of its own behind.
+#[test]
+fn serve_e2e_fleet_with_missing_model_fails_and_reaps_its_shards() {
+    let missing = tmp(&format!("missing_{}.ddm", std::process::id()));
+    let _ = std::fs::remove_file(&missing);
+    let child = dd()
+        .args(["serve", &missing, "--shards", "2", "--port", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("dd serve --shards spawns");
+    let mut guard = ChildGuard(Some(child));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = guard.0.as_mut().unwrap().try_wait().expect("poll fleet") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "fleet with a missing model did not exit in 30 s");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let child = guard.0.as_mut().unwrap();
+    let (mut stdout, mut stderr) = (String::new(), String::new());
+    child.stdout.take().unwrap().read_to_string(&mut stdout).unwrap();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    assert!(!status.success(), "a fleet without a model must fail: {stdout}");
+    assert!(!stdout.contains("dd-router listening"), "router must not start: {stdout}");
+    assert!(
+        stderr.lines().any(|l| l.contains("shard ") && l.contains(&missing)),
+        "error names a shard and the path: {stderr}"
+    );
+    // Every shard of this run carries the unique model path on its command
+    // line; none may outlive the supervisor (checked where `/proc` exists).
+    let survivors: Vec<String> = std::fs::read_dir("/proc")
+        .into_iter()
+        .flatten()
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            let cmdline = std::fs::read(path.join("cmdline")).ok()?;
+            String::from_utf8_lossy(&cmdline).contains(&missing).then(|| path.display().to_string())
+        })
+        .collect();
+    assert!(survivors.is_empty(), "shards outlived the supervisor: {survivors:?}");
 }

@@ -529,6 +529,14 @@ fn batch_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &s
 /// `200` only when every shard accepted. No failover here — a shard that
 /// missed a reload or a batch would silently diverge, so a partial fan-out
 /// is reported as `502` for the operator to retry or replay the event log.
+///
+/// The posts go out concurrently, one scoped thread per shard, so a reload
+/// costs the slowest shard's load rather than the sum of them. Every thread
+/// is joined before the response is built, in configured shard order (not
+/// completion order); a thread that panics counts as its shard failing.
+/// The router answers only after every shard has, so a client that waits
+/// for each reply before its next ingest still reaches every shard with its
+/// batches in order.
 fn fan_out(
     state: &RouterState,
     endpoint: &'static str,
@@ -540,21 +548,36 @@ fn fan_out(
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return (endpoint, 400, JSON, error_body(&format!("body must be UTF-8 {format}")));
     };
-    let mut results = Vec::with_capacity(state.shards.len());
-    let mut all_ok = true;
-    for shard in &state.shards {
-        let (ok, detail) = match client::post_classified(&shard.addr, path, body, headers) {
-            Ok(resp) if resp.status == 200 => (true, resp.body),
-            Ok(resp) => (false, format!("status {}: {}", resp.status, resp.body)),
-            Err(e) => (false, e.message),
-        };
-        all_ok &= ok;
-        results.push(format!(
-            "{{\"addr\":{},\"ok\":{ok},\"detail\":{}}}",
-            serde_json::to_string(&shard.addr).unwrap_or_default(),
-            if ok { detail } else { serde_json::to_string(&detail).unwrap_or_default() },
-        ));
-    }
+    let verdicts: Vec<(bool, String)> = dd_runtime::scope(|s| {
+        let posts: Vec<_> = state
+            .shards
+            .iter()
+            .map(|shard| {
+                s.spawn(move || match client::post_classified(&shard.addr, path, body, headers) {
+                    Ok(resp) if resp.status == 200 => (true, resp.body),
+                    Ok(resp) => (false, format!("status {}: {}", resp.status, resp.body)),
+                    Err(e) => (false, e.message),
+                })
+            })
+            .collect();
+        posts
+            .into_iter()
+            .map(|post| post.join().unwrap_or_else(|_| (false, "fan-out thread panicked".into())))
+            .collect()
+    });
+    let all_ok = verdicts.iter().all(|(ok, _)| *ok);
+    let results: Vec<String> = state
+        .shards
+        .iter()
+        .zip(verdicts)
+        .map(|(shard, (ok, detail))| {
+            format!(
+                "{{\"addr\":{},\"ok\":{ok},\"detail\":{}}}",
+                serde_json::to_string(&shard.addr).unwrap_or_default(),
+                if ok { detail } else { serde_json::to_string(&detail).unwrap_or_default() },
+            )
+        })
+        .collect();
     let status = if all_ok { 200 } else { 502 };
     let body = format!("{{\"shards\":[{}]}}", results.join(","));
     (endpoint, status, JSON, body.into_bytes())

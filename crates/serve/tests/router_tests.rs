@@ -2,7 +2,8 @@
 //! behind a real [`Router`], exercising bit-exact forwarding, batch order
 //! preservation, seeded mid-stream shard kills with zero client-visible
 //! failures, unhealthy quarantine + re-probe after a shard comes back, and
-//! fleet-wide reload fan-out.
+//! fleet-wide reload and ingest fan-out (a partial one is a `502` listed in
+//! shard order).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -310,6 +311,67 @@ fn fleet_reload_fans_out_to_every_shard() {
     for s in shards {
         s.shutdown();
     }
+}
+
+/// A fan-out that misses a shard is a `502` whose `shards` array lists the
+/// verdicts in configured shard order. The posts go out concurrently and a
+/// dead shard's refused connect returns first, so with shard 1 dead an
+/// array in completion order would list it first; with shard 0 dead the
+/// dead shard still leads.
+#[test]
+fn partial_fan_out_is_a_502_listed_in_shard_order() {
+    use dd_stream::{to_jsonl, EventOp, TieEvent};
+    use serde_json::Value;
+
+    let model = Arc::new(fit_model());
+    let path = std::env::temp_dir().join(format!("dd_fan_out_order_{}.ddm", std::process::id()));
+    model.save_binary_to_path(&path).unwrap();
+    let reload =
+        format!("{{\"path\":{}}}", serde_json::to_string(&path.display().to_string()).unwrap());
+    let &(u, v) = model.ties().first().expect("a trained tie");
+    let events = to_jsonl(&[TieEvent::new(EventOp::Unfollow, u, v)]);
+
+    for dead in [1usize, 0] {
+        let mut shards: Vec<ServerHandle> = (0..2)
+            .map(|_| {
+                let cfg = ServeConfig {
+                    addr: "127.0.0.1:0".to_string(),
+                    stream: true,
+                    ..ServeConfig::default()
+                };
+                Server::start(Arc::clone(&model), cfg).expect("shard starts")
+            })
+            .collect();
+        let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
+        let router = Router::start(RouterConfig {
+            addr: "127.0.0.1:0".to_string(),
+            shards: addrs.clone(),
+            ..RouterConfig::default()
+        })
+        .expect("router starts");
+        let addr = router.addr().to_string();
+        shards.remove(dead).shutdown();
+
+        for (path, body) in [("/admin/reload", &reload), ("/ingest", &events)] {
+            let resp = client::post(&addr, path, body).unwrap();
+            assert_eq!(resp.status, 502, "{path} with shard {dead} dead: {}", resp.body);
+            let doc: Value = serde_json::from_str(&resp.body).unwrap();
+            let Some(Value::Array(verdicts)) = doc.get("shards") else {
+                panic!("no shards array: {}", resp.body)
+            };
+            assert_eq!(verdicts.len(), 2, "{}", resp.body);
+            for (i, verdict) in verdicts.iter().enumerate() {
+                assert_eq!(verdict.get("addr"), Some(&Value::Str(addrs[i].clone())), "{path}");
+                assert_eq!(verdict.get("ok"), Some(&Value::Bool(i != dead)), "{}", resp.body);
+            }
+        }
+
+        router.shutdown();
+        for s in shards {
+            s.shutdown();
+        }
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 /// One routed request is one trace: a client `traceparent` sent to the
