@@ -22,6 +22,7 @@ use dd_graph::degrees::all_mixed_degrees;
 use dd_graph::triads::{triad_counts, N_TRIAD_TYPES};
 use dd_graph::{MixedSocialNetwork, NodeId};
 use dd_linalg::logreg::{LogRegConfig, LogisticRegression};
+use dd_linalg::matrix::DenseMatrix;
 use dd_linalg::scaler::StandardScaler;
 use dd_runtime::{chunk_size, Pool, Threads};
 use rand::rngs::StdRng;
@@ -197,9 +198,10 @@ impl DirectionalityLearner for HfLearner {
         let (xs, ys) = training_matrix(g, &stats, &pool);
         assert!(!xs.is_empty(), "HF requires directed ties for training");
         let scaler = StandardScaler::fit(&xs);
-        let mut scaled = xs;
-        pool.par_chunks_mut(&mut scaled, chunk_size(ys.len()), |_, rows| {
-            for row in rows {
+        let mut scaled = DenseMatrix::from_vec(ys.len(), N_FEATURES, xs.concat());
+        let rows_per_chunk = chunk_size(ys.len());
+        pool.par_chunks_mut(scaled.as_mut_slice(), rows_per_chunk * N_FEATURES, |_, rows| {
+            for row in rows.chunks_exact_mut(N_FEATURES) {
                 scaler.transform_row(row);
             }
         });

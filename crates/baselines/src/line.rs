@@ -211,21 +211,18 @@ impl DirectionalityLearner for LineLearner {
     fn fit(&self, g: &MixedSocialNetwork) -> Box<dyn TieScorer> {
         let nodes = self.embed(g);
         let dim = nodes.cols();
-        let mut xs: Vec<Vec<f32>> = Vec::with_capacity(2 * g.counts().directed);
-        let mut ys: Vec<f32> = Vec::with_capacity(2 * g.counts().directed);
-        let feat = |u: NodeId, v: NodeId| {
-            let mut x = Vec::with_capacity(2 * dim);
-            x.extend_from_slice(nodes.row(u.index()));
-            x.extend_from_slice(nodes.row(v.index()));
-            x
-        };
+        let rows = 2 * g.counts().directed;
+        let mut flat: Vec<f32> = Vec::with_capacity(rows * 2 * dim);
+        let mut ys: Vec<f32> = Vec::with_capacity(rows);
         for (_, u, v) in g.directed_ties() {
-            xs.push(feat(u, v));
-            ys.push(1.0);
-            xs.push(feat(v, u));
-            ys.push(0.0);
+            for (a, b, y) in [(u, v, 1.0), (v, u, 0.0)] {
+                flat.extend_from_slice(nodes.row(a.index()));
+                flat.extend_from_slice(nodes.row(b.index()));
+                ys.push(y);
+            }
         }
-        assert!(!xs.is_empty(), "LINE requires directed ties for training");
+        assert!(!ys.is_empty(), "LINE requires directed ties for training");
+        let xs = DenseMatrix::from_vec(ys.len(), 2 * dim, flat);
         let mut model = LogisticRegression::new(2 * dim);
         model.fit(&xs, &ys, None, &self.config.logreg);
         Box::new(LineScorer { nodes, model })

@@ -8,6 +8,7 @@
 //! available via [`DStepHead::Mlp`](crate::config::DStepHead).
 
 use dd_linalg::logreg::{LogRegConfig, LogisticRegression};
+use dd_linalg::matrix::DenseMatrix;
 use dd_linalg::mlp::{Mlp, MlpConfig};
 use dd_linalg::rng::Pcg32;
 use dd_telemetry::EpochProgress;
@@ -45,20 +46,8 @@ impl DirectionalityHead {
     }
 }
 
-/// Builds the D-Step feature vector for universe tie row `i`: the embedding
-/// `m_e`, optionally extended with the connection vector `n_e` (the
-/// `context_features` extension).
-pub fn tie_feature_vector(estep: &EStepParams, cfg: &DeepDirectConfig, i: usize) -> Vec<f32> {
-    if cfg.context_features {
-        let mut x = estep.m.row(i).to_vec();
-        x.extend_from_slice(estep.n.row(i));
-        x
-    } else {
-        estep.m.row(i).to_vec()
-    }
-}
-
-/// Feature dimensionality of the D-Step under `cfg`.
+/// Feature dimensionality of the D-Step under `cfg`: the embedding `m_e`,
+/// extended with the connection vector `n_e` under `context_features`.
 pub fn feature_dim(cfg: &DeepDirectConfig) -> usize {
     if cfg.context_features {
         2 * cfg.dim
@@ -73,13 +62,20 @@ pub fn train(
     estep: &EStepParams,
     cfg: &DeepDirectConfig,
 ) -> DirectionalityHead {
-    let mut xs: Vec<Vec<f32>> = Vec::new();
-    let mut ys: Vec<f32> = Vec::new();
+    // One contiguous row per labeled tie, in universe order, so the
+    // shuffled SGD gathers from one buffer it can prefetch ahead in.
+    let rows = universe.labeled_ties().count();
+    let mut flat: Vec<f32> = Vec::with_capacity(rows * feature_dim(cfg));
+    let mut ys: Vec<f32> = Vec::with_capacity(rows);
     for (i, tie) in universe.labeled_ties() {
-        xs.push(tie_feature_vector(estep, cfg, i));
+        flat.extend_from_slice(estep.m.row(i));
+        if cfg.context_features {
+            flat.extend_from_slice(estep.n.row(i));
+        }
         ys.push(tie.label.expect("labeled_ties yields labeled ties"));
     }
-    assert!(!xs.is_empty(), "TDL requires at least one directed tie (Definition 1)");
+    assert!(!ys.is_empty(), "TDL requires at least one directed tie (Definition 1)");
+    let xs = DenseMatrix::from_vec(rows, feature_dim(cfg), flat);
     match cfg.head {
         DStepHead::Logistic => {
             // Warm start from (w', b') per Algorithm 1 line 20; the context

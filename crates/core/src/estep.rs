@@ -21,6 +21,21 @@
 //! access goes through raw-pointer reads/writes so no aliased `&mut`
 //! references are ever formed.
 //!
+//! ## Draw-ahead
+//!
+//! Each iteration gathers ~8 random rows (`M[e]`, `N[e']`, `λ` negatives'
+//! `N` rows, plus two `M` rows per triad sample on undirected ties), so the
+//! loop is bound by memory latency, not arithmetic. An iteration is
+//! therefore split in two. `Draw::draw` does all of its RNG consumption in
+//! the original order (`e`, `e'`, then the negatives) and prefetches the
+//! rows and the triad list it names. `apply` is the update arithmetic. One
+//! worker loop, `run_worker`, keeps a ring of `DRAW_AHEAD` draws: at step
+//! `it` it prefetches the triad rows of draw `it + TRIAD_AHEAD`, draws
+//! iteration `it + DRAW_AHEAD` and applies draw `it`. `apply` consumes no
+//! randomness and a prefetch moves cache lines, not values, so a
+//! sequential fit is bit-identical to one that draws and applies in turn
+//! (DESIGN.md §7.9, "Latency-hidden SGD").
+//!
 //! ## Progress telemetry
 //!
 //! When [`DeepDirectConfig::observer`] is attached, the loop periodically
@@ -36,6 +51,7 @@ use std::time::Instant;
 
 use dd_linalg::activations::sigmoid;
 use dd_linalg::alias::AliasTable;
+use dd_linalg::kernels::prefetch;
 use dd_linalg::matrix::DenseMatrix;
 use dd_linalg::rng::Pcg32;
 use dd_runtime::{split_streams, Latch};
@@ -96,14 +112,17 @@ unsafe fn axpy_raw(alpha: f32, x: *const f32, y: *mut f32, dim: usize) {
 }
 
 impl RawParams {
+    /// Address of row `e` of `M`. Computing it is safe; dereferencing it is
+    /// the caller's (Hogwild) business.
     #[inline]
-    unsafe fn m_row(&self, e: usize) -> *mut f32 {
-        self.m.add(e * self.dim)
+    fn m_row(&self, e: usize) -> *mut f32 {
+        self.m.wrapping_add(e * self.dim)
     }
 
+    /// Address of row `e` of `N`; see [`RawParams::m_row`].
     #[inline]
-    unsafe fn n_row(&self, e: usize) -> *mut f32 {
-        self.n.add(e * self.dim)
+    fn n_row(&self, e: usize) -> *mut f32 {
+        self.n.wrapping_add(e * self.dim)
     }
 
     /// Current joint-classifier probability for universe tie `e`:
@@ -114,29 +133,98 @@ impl RawParams {
     }
 }
 
-/// One SGD iteration of Algorithm 1 (lines 13–17).
+/// How many iterations ahead of the update a worker draws its samples
+/// (see the module docs): four iterations of arithmetic cover one DRAM
+/// round trip for the ~8 rows a draw names. It is a constant because the
+/// RNG stream does not depend on it, so no value would change with it.
+const DRAW_AHEAD: usize = 4;
+
+/// How many iterations ahead of the update a worker prefetches the
+/// triad-sample rows `M[uw]`, `M[vw]`. Half of [`DRAW_AHEAD`]: their indices
+/// come from the triad list the draw prefetched, which has to land first.
+const TRIAD_AHEAD: usize = 2;
+
+/// The samples of one SGD iteration (Algorithm 1, line 13): `e ~ P_c`, its
+/// connected tie `e'` and the `λ` negatives from `P_n`.
+struct Draw<'u> {
+    e: usize,
+    /// `None` when `deg_tie(e) = 0` (zero `P_c` mass; defensive only): the
+    /// iteration is then a no-op and draws no negatives.
+    ep: Option<usize>,
+    /// Every drawn negative, including any equal to `e'` (skipped when
+    /// applied, as drawing the positive as noise would cancel it).
+    negatives: Vec<usize>,
+    /// `e`'s triad samples when the pattern term will read them (unlabeled
+    /// undirected tie, `β > 0`), else empty.
+    triads: &'u [(u32, u32)],
+}
+
+impl<'u> Draw<'u> {
+    fn with_capacity(negatives: usize) -> Self {
+        Draw { e: 0, ep: None, negatives: Vec::with_capacity(negatives), triads: &[] }
+    }
+
+    /// Draws the next iteration's samples into `self`, consuming `rng`
+    /// exactly as the iteration always has: `e`, then `e'`, then (only when
+    /// `e'` exists) the `λ` negatives. Prefetches every row the update will
+    /// read and `e`'s triad list; reads no parameter value.
+    fn draw(
+        &mut self,
+        raw: &RawParams,
+        universe: &'u TieUniverse,
+        pc: &AliasTable,
+        pn: &AliasTable,
+        cfg: &DeepDirectConfig,
+        rng: &mut Pcg32,
+    ) {
+        let dim = raw.dim;
+        self.e = pc.sample(rng);
+        self.ep = universe.sample_connected(self.e, rng);
+        self.negatives.clear();
+        self.triads = &[];
+        let Some(ep) = self.ep else { return };
+        prefetch(raw.m_row(self.e), dim);
+        prefetch(raw.n_row(ep), dim);
+        for _ in 0..cfg.negatives {
+            let ei = pn.sample(rng);
+            prefetch(raw.n_row(ei), dim);
+            self.negatives.push(ei);
+        }
+        let tie = universe.tie(self.e);
+        if tie.label.is_none() && tie.kind == UniverseKind::Undirected && cfg.beta > 0.0 {
+            self.triads = universe.triad_samples(self.e);
+            prefetch(self.triads.as_ptr().cast(), 2 * self.triads.len());
+        }
+    }
+
+    /// Prefetches the rows `M[uw]`, `M[vw]` the pattern term will read.
+    fn prefetch_triad_rows(&self, raw: &RawParams) {
+        for &(uw, vw) in self.triads {
+            prefetch(raw.m_row(uw as usize), raw.dim);
+            prefetch(raw.m_row(vw as usize), raw.dim);
+        }
+    }
+}
+
+/// Applies one drawn SGD iteration of Algorithm 1 (lines 14–17).
 ///
 /// # Safety
 /// `raw` must point to buffers of `universe.len() × dim` (matrices) and
 /// `dim` (weights) floats that stay alive for the call. Concurrent callers
 /// race benignly per the Hogwild protocol.
-#[allow(clippy::too_many_arguments)]
-unsafe fn sgd_iteration(
+unsafe fn apply(
     raw: &RawParams,
     universe: &TieUniverse,
-    pc: &AliasTable,
-    pn: &AliasTable,
     cfg: &DeepDirectConfig,
     lr: f32,
-    rng: &mut Pcg32,
+    draw: &Draw<'_>,
     grad: &mut [f32],
 ) {
     let dim = raw.dim;
     debug_assert_eq!(grad.len(), dim);
 
-    // Line 13: sample e ~ P_c, e' uniform from c(e).
-    let e = pc.sample(rng);
-    let Some(ep) = universe.sample_connected(e, rng) else {
+    let e = draw.e;
+    let Some(ep) = draw.ep else {
         return; // deg_tie(e) = 0 has zero P_c mass; defensive only
     };
     let me = raw.m_row(e);
@@ -152,8 +240,7 @@ unsafe fn sgd_iteration(
     axpy_raw(-lr * g_pos, me, nep, dim);
 
     // --- Topology: λ negatives (Eqs. 23, 25) ---
-    for _ in 0..cfg.negatives {
-        let ei = pn.sample(rng);
+    for &ei in &draw.negatives {
         if ei == ep {
             continue; // drawing the positive as noise would cancel it
         }
@@ -173,7 +260,7 @@ unsafe fn sgd_iteration(
     } else if tie.kind == UniverseKind::Undirected && cfg.beta > 0.0 {
         let p = raw.predict(e);
         // Triad Status pseudo-label y^t (Eq. 15), from current predictions.
-        let samples = universe.triad_samples(e);
+        let samples = draw.triads;
         if !samples.is_empty() {
             let mut yt = 0.0f32;
             for &(uw, vw) in samples {
@@ -201,6 +288,50 @@ unsafe fn sgd_iteration(
 
     // Apply the accumulated gradient to m_e (Eq. 23).
     axpy_raw(-lr, gptr, me, dim);
+}
+
+/// One worker's SGD loop: `budget` iterations of Algorithm 1 at a rate
+/// decayed linearly over the budget, drawing [`DRAW_AHEAD`] iterations
+/// ahead of the update and prefetching triad rows [`TRIAD_AHEAD`] ahead
+/// (module docs). After each iteration it calls `after(done)` with the
+/// number of iterations applied so far. Both the sequential and the
+/// Hogwild path run this loop.
+///
+/// # Safety
+/// As for [`apply`]: `raw` names live buffers, and concurrent callers race
+/// benignly per the Hogwild protocol. `after` may read the buffers (it runs
+/// between iterations).
+#[allow(clippy::too_many_arguments)]
+unsafe fn run_worker(
+    raw: &RawParams,
+    universe: &TieUniverse,
+    pc: &AliasTable,
+    pn: &AliasTable,
+    cfg: &DeepDirectConfig,
+    budget: u64,
+    rng: &mut Pcg32,
+    mut after: impl FnMut(u64),
+) {
+    let mut grad = vec![0.0f32; raw.dim];
+    let mut current = Draw::with_capacity(cfg.negatives);
+    // `ring[it % DRAW_AHEAD]` holds the draw for iteration `it` until it is
+    // taken, then the draw for `it + DRAW_AHEAD`.
+    let mut ring: [Draw<'_>; DRAW_AHEAD] =
+        std::array::from_fn(|_| Draw::with_capacity(cfg.negatives));
+    for slot in ring.iter_mut().take(budget.min(DRAW_AHEAD as u64) as usize) {
+        slot.draw(raw, universe, pc, pn, cfg, rng);
+    }
+    for it in 0..budget {
+        let slot = it as usize % DRAW_AHEAD;
+        ring[(slot + TRIAD_AHEAD) % DRAW_AHEAD].prefetch_triad_rows(raw);
+        std::mem::swap(&mut current, &mut ring[slot]);
+        if it + (DRAW_AHEAD as u64) < budget {
+            ring[slot].draw(raw, universe, pc, pn, cfg, rng);
+        }
+        let lr = cfg.lr * (1.0 - it as f32 / budget as f32).max(1e-4);
+        apply(raw, universe, cfg, lr, &current, &mut grad);
+        after(it + 1);
+    }
 }
 
 /// Output of [`train`] plus the sampling tables (reused by diagnostics).
@@ -325,23 +456,18 @@ pub fn train(universe: &TieUniverse, cfg: &DeepDirectConfig) -> EStep {
     let per_worker_counts: Vec<u64>;
 
     if cfg.threads <= 1 {
-        let mut grad = vec![0.0f32; dim];
         let mut loss_rng = Pcg32::seed_from_u64(cfg.seed ^ PROGRESS_RNG_SALT);
         let mut until_report = interval;
-        for it in 0..total {
-            let lr = cfg.lr * (1.0 - it as f32 / total as f32).max(1e-4);
-            // SAFETY: exclusive access — `m`, `n`, `w`, `b` outlive the loop
-            // and no other reference touches them.
-            unsafe {
-                sgd_iteration(&raw, universe, &pc, &pn, cfg, lr, &mut rng, &mut grad);
-            }
-            until_report -= 1;
-            if until_report == 0 {
-                until_report = interval;
-                last_reported = it + 1;
-                // SAFETY: single-threaded — estimation reads the buffers the
-                // loop writes, between iterations.
-                unsafe {
+        // SAFETY: exclusive access — `m`, `n`, `w`, `b` outlive the loop and
+        // no other reference touches them.
+        unsafe {
+            run_worker(&raw, universe, &pc, &pn, cfg, total, &mut rng, |done| {
+                until_report -= 1;
+                if until_report == 0 {
+                    until_report = interval;
+                    last_reported = done;
+                    // SAFETY: single-threaded — estimation reads the buffers
+                    // the loop writes, between iterations.
                     report_progress(
                         universe,
                         &raw,
@@ -350,17 +476,17 @@ pub fn train(universe: &TieUniverse, cfg: &DeepDirectConfig) -> EStep {
                         cfg,
                         total,
                         start,
-                        it + 1,
-                        vec![it + 1],
+                        done,
+                        vec![done],
                         false,
                         &mut loss_rng,
                     );
                 }
-            }
+            });
         }
         per_worker_counts = vec![total];
     } else {
-        let per_worker = total / cfg.threads as u64 + 1;
+        let threads = cfg.threads as u64;
         let mut seeds = split_streams(&mut rng, cfg.threads);
         let counters: Vec<AtomicU64> = (0..cfg.threads).map(|_| AtomicU64::new(0)).collect();
         // Workers arrive on the latch as they finish (via a drop guard, so
@@ -370,26 +496,26 @@ pub fn train(universe: &TieUniverse, cfg: &DeepDirectConfig) -> EStep {
         let reported = AtomicU64::new(0);
         dd_runtime::scope(|s| {
             for (widx, mut wrng) in seeds.drain(..).enumerate() {
+                // The budget splits exactly: the first `total % threads`
+                // workers run one extra iteration.
+                let budget = total / threads + u64::from((widx as u64) < total % threads);
                 let pc = &pc;
                 let pn = &pn;
                 let counter = &counters[widx];
                 let done = &done;
                 s.spawn(move || {
                     let _arrival = done.guard();
-                    let mut grad = vec![0.0f32; dim];
-                    for it in 0..per_worker {
-                        let lr = cfg.lr * (1.0 - it as f32 / per_worker as f32).max(1e-4);
-                        // SAFETY: Hogwild protocol; see module docs.
-                        unsafe {
-                            sgd_iteration(&raw, universe, pc, pn, cfg, lr, &mut wrng, &mut grad);
-                        }
-                        // Publish progress sparsely; one store per 4096
-                        // iterations is invisible next to the SGD work.
-                        if (it + 1) & 0xFFF == 0 {
-                            counter.store(it + 1, Ordering::Relaxed);
-                        }
+                    // SAFETY: Hogwild protocol; see module docs.
+                    unsafe {
+                        run_worker(&raw, universe, pc, pn, cfg, budget, &mut wrng, |done| {
+                            // Publish progress sparsely; one store per 4096
+                            // iterations is invisible next to the SGD work.
+                            if done & 0xFFF == 0 {
+                                counter.store(done, Ordering::Relaxed);
+                            }
+                        });
                     }
-                    counter.store(per_worker, Ordering::Relaxed);
+                    counter.store(budget, Ordering::Relaxed);
                 });
             }
             if observing {
@@ -484,7 +610,7 @@ pub fn train(universe: &TieUniverse, cfg: &DeepDirectConfig) -> EStep {
     }
 
     EStep {
-        params: EStepParams { m, n, w, b, iterations: total },
+        params: EStepParams { m, n, w, b, iterations: executed },
         pc,
         pn,
         elapsed_seconds: elapsed,
@@ -789,7 +915,8 @@ mod tests {
         assert!(out.iters_per_sec > 0.0);
         assert_eq!(out.per_worker_iterations.len(), 3);
         let executed: u64 = out.per_worker_iterations.iter().sum();
-        assert!(executed >= 30_000, "all workers must finish: {executed}");
+        assert_eq!(executed, 30_000, "workers must run exactly the budget");
+        assert_eq!(out.params.iterations, executed);
         let events = cap.0.lock().unwrap();
         assert!(
             events.iter().any(|e| e.kind == dd_telemetry::kind::ESTEP_PROGRESS),

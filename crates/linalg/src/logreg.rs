@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::activations::{cross_entropy, sigmoid};
+use crate::matrix::DenseMatrix;
 use crate::rng::Pcg32;
 
 /// Training hyper-parameters for [`LogisticRegression::fit`].
@@ -86,14 +87,22 @@ impl LogisticRegression {
         self.b -= lr * g;
     }
 
-    /// Trains on `xs[i] → ys[i]` (with optional per-sample weights) by
+    /// Trains on `xs.row(i) → ys[i]` (with optional per-sample weights) by
     /// shuffled SGD.
+    ///
+    /// Each epoch visits the rows in a fresh Fisher–Yates order, at a rate
+    /// decayed linearly over all steps ([`decayed_lr`]). The rows live in
+    /// one contiguous matrix, and the loop prefetches the row `ROW_AHEAD`
+    /// positions ahead in the visit order, so the random gather overlaps
+    /// the update instead of stalling it. The prefetch changes no value: the
+    /// shuffle, the visit order and every float operation are the same as
+    /// a plain loop's.
     ///
     /// # Panics
     /// Panics when shapes disagree or the dataset is empty.
     pub fn fit(
         &mut self,
-        xs: &[Vec<f32>],
+        xs: &DenseMatrix,
         ys: &[f32],
         sample_weights: Option<&[f32]>,
         cfg: &LogRegConfig,
@@ -106,7 +115,7 @@ impl LogisticRegression {
     /// attached, so `fit` pays nothing for this hook.
     pub fn fit_with_progress(
         &mut self,
-        xs: &[Vec<f32>],
+        xs: &DenseMatrix,
         ys: &[f32],
         sample_weights: Option<&[f32]>,
         cfg: &LogRegConfig,
@@ -117,32 +126,35 @@ impl LogisticRegression {
 
     fn fit_inner(
         &mut self,
-        xs: &[Vec<f32>],
+        xs: &DenseMatrix,
         ys: &[f32],
         sample_weights: Option<&[f32]>,
         cfg: &LogRegConfig,
         mut progress: Option<&mut dyn FnMut(usize, f64)>,
     ) {
-        assert_eq!(xs.len(), ys.len(), "xs and ys must align");
-        assert!(!xs.is_empty(), "empty training set");
+        assert_eq!(xs.rows(), ys.len(), "xs and ys must align");
+        assert!(xs.rows() > 0, "empty training set");
         if let Some(sw) = sample_weights {
-            assert_eq!(sw.len(), xs.len(), "sample weights must align");
+            assert_eq!(sw.len(), xs.rows(), "sample weights must align");
         }
         let mut rng = Pcg32::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..xs.len()).collect();
-        let total_steps = (cfg.epochs * xs.len()).max(1) as f32;
-        let mut step = 0f32;
+        let mut order: Vec<usize> = (0..xs.rows()).collect();
+        let total_steps = (cfg.epochs * xs.rows()).max(1) as u64;
+        let mut step = 0u64;
         for epoch in 0..cfg.epochs {
             // Fisher–Yates shuffle.
             for i in (1..order.len()).rev() {
                 let j = rng.gen_range(i + 1);
                 order.swap(i, j);
             }
-            for &i in &order {
-                let lr = cfg.lr * (1.0 - step / total_steps).max(0.01);
+            for (k, &i) in order.iter().enumerate() {
+                if let Some(&ahead) = order.get(k + ROW_AHEAD) {
+                    prefetch_row(xs, ys, ahead);
+                }
+                let lr = decayed_lr(cfg.lr, step, total_steps);
                 let sw = sample_weights.map_or(1.0, |s| s[i]);
-                self.sgd_step(&xs[i], ys[i], sw, lr, cfg.l2);
-                step += 1.0;
+                self.sgd_step(xs.row(i), ys[i], sw, lr, cfg.l2);
+                step += 1;
             }
             if let Some(cb) = progress.as_deref_mut() {
                 cb(epoch + 1, self.log_loss(xs, ys));
@@ -151,28 +163,54 @@ impl LogisticRegression {
     }
 
     /// Mean binary cross-entropy of the model on a dataset.
-    pub fn log_loss(&self, xs: &[Vec<f32>], ys: &[f32]) -> f64 {
-        assert_eq!(xs.len(), ys.len());
-        if xs.is_empty() {
+    pub fn log_loss(&self, xs: &DenseMatrix, ys: &[f32]) -> f64 {
+        assert_eq!(xs.rows(), ys.len());
+        if ys.is_empty() {
             return 0.0;
         }
-        let total: f64 = xs
+        let total: f64 = ys
             .iter()
-            .zip(ys)
-            .map(|(x, &y)| cross_entropy(y as f64, self.predict_proba(x) as f64))
+            .enumerate()
+            .map(|(i, &y)| cross_entropy(y as f64, self.predict_proba(xs.row(i)) as f64))
             .sum();
-        total / xs.len() as f64
+        total / ys.len() as f64
     }
 
     /// Classification accuracy at threshold 0.5 against hard labels.
-    pub fn accuracy(&self, xs: &[Vec<f32>], ys: &[f32]) -> f64 {
-        assert_eq!(xs.len(), ys.len());
-        if xs.is_empty() {
+    pub fn accuracy(&self, xs: &DenseMatrix, ys: &[f32]) -> f64 {
+        assert_eq!(xs.rows(), ys.len());
+        if ys.is_empty() {
             return 0.0;
         }
-        let correct = xs.iter().zip(ys).filter(|(x, &y)| self.predict(x) == (y >= 0.5)).count();
-        correct as f64 / xs.len() as f64
+        let correct =
+            ys.iter().enumerate().filter(|&(i, &y)| self.predict(xs.row(i)) == (y >= 0.5)).count();
+        correct as f64 / ys.len() as f64
     }
+}
+
+/// How many positions ahead in the shuffled visit order the SGD loops of
+/// [`LogisticRegression::fit`] and [`crate::mlp::Mlp::fit`] prefetch a row.
+/// Eight steps of a 32-to-64-float update take about one DRAM round trip.
+/// A constant, not a knob: no value depends on it.
+pub(crate) const ROW_AHEAD: usize = 8;
+
+/// Prefetches training row `i` and its label (see [`ROW_AHEAD`]).
+#[inline(always)]
+pub(crate) fn prefetch_row(xs: &DenseMatrix, ys: &[f32], i: usize) {
+    crate::kernels::prefetch(xs.row(i).as_ptr(), xs.cols());
+    crate::kernels::prefetch(&ys[i], 1);
+}
+
+/// The learning rate at SGD step `step` of `total`: `base` decayed linearly
+/// to `base / 100`, the schedule both shuffled-SGD heads share.
+///
+/// `step` is counted as an integer, so the rate keeps falling past 2^24
+/// steps (an `f32` counter stops at 2^24 and freezes the rate there). Below
+/// 2^24 every step is exact in `f32`, so the rate is bit-identical to the
+/// `f32`-counter schedule it replaced.
+#[inline]
+pub fn decayed_lr(base: f32, step: u64, total: u64) -> f32 {
+    base * (1.0 - step as f32 / total as f32).max(0.01)
 }
 
 #[cfg(test)]
@@ -180,17 +218,17 @@ mod tests {
     use super::*;
 
     /// Linearly separable 2-D blobs.
-    fn blobs(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<f32>) {
+    fn blobs(n: usize, seed: u64) -> (DenseMatrix, Vec<f32>) {
         let mut rng = Pcg32::seed_from_u64(seed);
-        let mut xs = Vec::with_capacity(2 * n);
+        let mut xs = Vec::with_capacity(4 * n);
         let mut ys = Vec::with_capacity(2 * n);
         for _ in 0..n {
-            xs.push(vec![1.0 + rng.next_f32(), 1.0 + rng.next_f32()]);
+            xs.extend([1.0 + rng.next_f32(), 1.0 + rng.next_f32()]);
             ys.push(1.0);
-            xs.push(vec![-1.0 - rng.next_f32(), -1.0 - rng.next_f32()]);
+            xs.extend([-1.0 - rng.next_f32(), -1.0 - rng.next_f32()]);
             ys.push(0.0);
         }
-        (xs, ys)
+        (DenseMatrix::from_vec(2 * n, 2, xs), ys)
     }
 
     #[test]
@@ -247,7 +285,7 @@ mod tests {
     #[test]
     fn sample_weights_bias_decision() {
         // Conflicting labels on the same point; heavier weight should win.
-        let xs = vec![vec![1.0f32], vec![1.0]];
+        let xs = DenseMatrix::from_vec(2, 1, vec![1.0, 1.0]);
         let ys = vec![1.0f32, 0.0];
         let sw = vec![10.0f32, 1.0];
         let mut lr = LogisticRegression::new(1);
@@ -258,7 +296,7 @@ mod tests {
     #[test]
     fn soft_labels_converge_to_target() {
         // Single feature always 1, soft label 0.7: optimum is p = 0.7.
-        let xs: Vec<Vec<f32>> = (0..50).map(|_| vec![1.0f32]).collect();
+        let xs = DenseMatrix::from_vec(50, 1, vec![1.0; 50]);
         let ys = vec![0.7f32; 50];
         let mut lr = LogisticRegression::new(1);
         lr.fit(&xs, &ys, None, &LogRegConfig { epochs: 300, l2: 0.0, ..Default::default() });
@@ -270,7 +308,32 @@ mod tests {
     #[should_panic(expected = "empty training set")]
     fn rejects_empty_dataset() {
         let mut lr = LogisticRegression::new(1);
-        lr.fit(&[], &[], None, &LogRegConfig::default());
+        lr.fit(&DenseMatrix::zeros(0, 1), &[], None, &LogRegConfig::default());
+    }
+
+    #[test]
+    fn decayed_lr_keeps_falling_past_f32_step_precision() {
+        // 19.49M steps: a paper-scale D-Step (649,742 rows × 30 epochs).
+        let total = 19_492_260u64;
+        let at = |step: u64| decayed_lr(0.05, step, total);
+        let edge = 1u64 << 24;
+        assert!(at(edge + 1) < at(edge - 1000), "rate froze at 2^24");
+        assert!(at(edge + 1000) < at(edge + 1), "rate froze past 2^24");
+        assert!(at(total - 1) < at(edge + 1000));
+        assert_eq!(at(total), 0.05 * 0.01, "floor is base / 100");
+    }
+
+    #[test]
+    fn decayed_lr_matches_the_f32_counter_below_2_pow_24() {
+        // The schedule the integer counter replaced, for the steps where an
+        // f32 counter is still exact.
+        let total = 1_000_003u64;
+        let mut step_f = 0f32;
+        for step in 0..total {
+            let old = 0.1f32 * (1.0 - step_f / total as f32).max(0.01);
+            assert_eq!(decayed_lr(0.1, step, total).to_bits(), old.to_bits(), "step {step}");
+            step_f += 1.0;
+        }
     }
 
     #[test]

@@ -30,6 +30,15 @@ impl DenseMatrix {
         DenseMatrix { rows, cols, data }
     }
 
+    /// Wraps a row-major buffer of `rows × cols` values.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+        assert_eq!(data.len(), rows * cols, "from_vec: buffer does not match {rows}×{cols}");
+        DenseMatrix { rows, cols, data }
+    }
+
     /// Builds a matrix from a closure over `(row, col)`.
     pub fn from_fn<F: FnMut(usize, usize) -> f32>(rows: usize, cols: usize, mut f: F) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -133,6 +142,19 @@ mod tests {
         let m = DenseMatrix::from_fn(2, 3, |r, c| (r * 10 + c) as f32);
         assert_eq!(m.row(0), &[0.0, 1.0, 2.0]);
         assert_eq!(m.row(1), &[10.0, 11.0, 12.0]);
+    }
+
+    #[test]
+    fn from_vec_is_row_major() {
+        let m = DenseMatrix::from_vec(2, 3, vec![0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
+        assert_eq!(m.row(1), &[10.0, 11.0, 12.0]);
+        assert_eq!(m.rows(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn from_vec_rejects_wrong_length() {
+        let _ = DenseMatrix::from_vec(2, 2, vec![0.0; 3]);
     }
 
     #[test]

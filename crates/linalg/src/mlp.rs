@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::activations::sigmoid;
+use crate::logreg::{decayed_lr, prefetch_row, ROW_AHEAD};
 use crate::matrix::DenseMatrix;
 use crate::rng::Pcg32;
 
@@ -98,38 +99,47 @@ impl Mlp {
         p
     }
 
-    /// Trains by shuffled SGD on `(xs, ys)`.
-    pub fn fit(&mut self, xs: &[Vec<f32>], ys: &[f32], cfg: &MlpConfig) {
-        assert_eq!(xs.len(), ys.len(), "xs and ys must align");
-        assert!(!xs.is_empty(), "empty training set");
+    /// Trains by shuffled SGD on `(xs, ys)`, one row of `xs` per example.
+    ///
+    /// The loop shares [`LogisticRegression::fit`]'s schedule
+    /// ([`decayed_lr`]) and its row prefetch: the row `ROW_AHEAD` positions
+    /// ahead in the visit order is pulled into cache before it is needed.
+    ///
+    /// [`LogisticRegression::fit`]: crate::logreg::LogisticRegression::fit
+    pub fn fit(&mut self, xs: &DenseMatrix, ys: &[f32], cfg: &MlpConfig) {
+        assert_eq!(xs.rows(), ys.len(), "xs and ys must align");
+        assert!(xs.rows() > 0, "empty training set");
         let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0xabcdef);
-        let mut order: Vec<usize> = (0..xs.len()).collect();
-        let total = (cfg.epochs * xs.len()).max(1) as f32;
-        let mut step = 0f32;
+        let mut order: Vec<usize> = (0..xs.rows()).collect();
+        let total = (cfg.epochs * xs.rows()).max(1) as u64;
+        let mut step = 0u64;
         for _ in 0..cfg.epochs {
             for i in (1..order.len()).rev() {
                 let j = rng.gen_range(i + 1);
                 order.swap(i, j);
             }
-            for &i in &order {
-                let lr = cfg.lr * (1.0 - step / total).max(0.01);
-                self.sgd_step(&xs[i], ys[i], lr, cfg.l2);
-                step += 1.0;
+            for (k, &i) in order.iter().enumerate() {
+                if let Some(&ahead) = order.get(k + ROW_AHEAD) {
+                    prefetch_row(xs, ys, ahead);
+                }
+                let lr = decayed_lr(cfg.lr, step, total);
+                self.sgd_step(xs.row(i), ys[i], lr, cfg.l2);
+                step += 1;
             }
         }
     }
 
     /// Classification accuracy at threshold 0.5.
-    pub fn accuracy(&self, xs: &[Vec<f32>], ys: &[f32]) -> f64 {
-        if xs.is_empty() {
+    pub fn accuracy(&self, xs: &DenseMatrix, ys: &[f32]) -> f64 {
+        if ys.is_empty() {
             return 0.0;
         }
-        let ok = xs
+        let ok = ys
             .iter()
-            .zip(ys)
-            .filter(|(x, &y)| (self.predict_proba(x) >= 0.5) == (y >= 0.5))
+            .enumerate()
+            .filter(|&(i, &y)| (self.predict_proba(xs.row(i)) >= 0.5) == (y >= 0.5))
             .count();
-        ok as f64 / xs.len() as f64
+        ok as f64 / ys.len() as f64
     }
 }
 
@@ -139,7 +149,7 @@ mod tests {
 
     /// XOR — not linearly separable, so a passing test demonstrates the
     /// hidden layer is doing real work.
-    fn xor_data(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<f32>) {
+    fn xor_data(n: usize, seed: u64) -> (DenseMatrix, Vec<f32>) {
         let mut rng = Pcg32::seed_from_u64(seed);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
@@ -150,10 +160,10 @@ mod tests {
             let _ = jitter;
             let fx = if a { 1.0 } else { -1.0 } + (rng.next_f32() - 0.5) * 0.2;
             let fy = if b { 1.0 } else { -1.0 } + (rng.next_f32() - 0.5) * 0.2;
-            xs.push(vec![fx, fy]);
+            xs.extend([fx, fy]);
             ys.push(if a ^ b { 1.0 } else { 0.0 });
         }
-        (xs, ys)
+        (DenseMatrix::from_vec(n, 2, xs), ys)
     }
 
     #[test]
@@ -206,6 +216,6 @@ mod tests {
     fn rejects_empty() {
         let mut rng = Pcg32::seed_from_u64(7);
         let mut mlp = Mlp::new(2, 2, &mut rng);
-        mlp.fit(&[], &[], &MlpConfig::default());
+        mlp.fit(&DenseMatrix::zeros(0, 2), &[], &MlpConfig::default());
     }
 }

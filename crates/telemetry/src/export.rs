@@ -436,8 +436,8 @@ mod tests {
         child.thread = Some(2);
         child.alloc_bytes = Some(1024);
         let out = chrome_trace(&[root, child]);
-        // Structure checks without a JSON parser on the producer side: the
-        // CI trace-smoke job additionally parses this with python's json.
+        // Structure checks without a JSON parser on the producer side:
+        // dd-cli's `trace_export` test additionally parses a real export.
         assert!(out.starts_with("{\"traceEvents\":["));
         assert!(out.contains("\"ph\":\"X\""));
         assert!(out.contains("\"name\":\"fit.estep\""));

@@ -99,3 +99,34 @@ fn deepdirect_leads_or_ties_the_suite_on_average() {
     let best = totals.iter().map(|&(_, v)| v).fold(f64::MIN, f64::max);
     assert!(dd + 0.06 * 3.0 >= best, "DeepDirect mean accuracy should be competitive: {totals:?}");
 }
+
+/// The HF and LINE heads are plain serial logistic regressions, so their
+/// scores on fixed ties are pure functions of the split and the config.
+/// Pinning their bits catches any change to the shuffled-SGD loop, its
+/// learning-rate schedule or its feature layout.
+#[test]
+fn hf_and_line_scores_are_bit_pinned() {
+    use dd_baselines::{DirectionalityLearner, HfLearner, LineLearner};
+    let hidden = split(4);
+    let ties: Vec<_> = hidden.network.iter_ties().take(3).map(|(_, t)| (t.src, t.dst)).collect();
+    let hf = HfLearner::default().fit(&hidden.network);
+    let line = LineLearner::new(LineConfig {
+        dim: 16,
+        max_iterations: Some(60_000),
+        seed: 4,
+        ..Default::default()
+    })
+    .fit(&hidden.network);
+    let hf_bits: Vec<u64> = ties.iter().map(|&(u, v)| hf.score(u, v).to_bits()).collect();
+    let line_bits: Vec<u64> = ties.iter().map(|&(u, v)| line.score(u, v).to_bits()).collect();
+    assert_eq!(
+        hf_bits,
+        [4607171521931116544, 4606903828967587840, 4607116720295903232],
+        "HF score bits moved"
+    );
+    assert_eq!(
+        line_bits,
+        [4603082988480102400, 4596522497339293696, 4603819994667548672],
+        "LINE score bits moved"
+    );
+}
