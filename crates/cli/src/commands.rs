@@ -687,9 +687,10 @@ fn events_cmd(args: &Args) -> Result<String, String> {
 /// - **Offline replay** (`<model> --events <file>`): folds the log into the
 ///   frozen model locally with the same [`dd_stream::StreamEngine`] the
 ///   server runs, printing applied/live counts and the state digest — the
-///   digest must equal the online run's, which is how CI proves replay
-///   determinism. `--score SRC DST` instead prints the single raw fold-in
-///   score with `{}` formatting, byte-identical to the server's JSON field.
+///   digest must equal the online run's, which is how `serve_e2e.rs`
+///   proves replay determinism. `--score SRC DST` instead prints the single
+///   raw fold-in score with `{}` formatting, byte-identical to the server's
+///   JSON field.
 fn ingest(args: &Args) -> Result<String, String> {
     let events_path = args.get("events", "");
     let read_log = || -> Result<Vec<dd_stream::TieEvent>, String> {

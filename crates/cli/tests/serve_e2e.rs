@@ -3,7 +3,9 @@
 //! hammer it from many client threads, check every served score bit-for-bit
 //! against the model loaded offline, then verify graceful SIGINT shutdown.
 //! A second test serves an exported binary `.ddm` and pins the cross-format
-//! contract live: same fingerprint, bit-identical scores.
+//! contract live: same fingerprint, bit-identical scores. A streaming test
+//! pipes a generated event log through `dd ingest --to` and byte-diffs the
+//! served fold-in score and state digest against an offline replay.
 //!
 //! Unix-only: the graceful-shutdown half of the contract is SIGINT-driven.
 #![cfg(unix)]
@@ -380,6 +382,130 @@ fn serve_e2e_binary_model_is_bit_identical_to_json() {
     assert!(status.success());
     let exit = guard.0.as_mut().unwrap().wait().expect("server exits");
     assert!(exit.success(), "dd serve should exit cleanly on SIGINT, got {exit:?}");
+    guard.0.take();
+}
+
+/// Runs `dd` to completion and returns its stdout, failing on a non-zero
+/// exit.
+fn dd_stdout(args: &[&str]) -> String {
+    let out = dd().args(args).output().expect("dd runs");
+    assert!(out.status.success(), "dd {args:?} failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("UTF-8 stdout")
+}
+
+/// Streaming end to end across processes: train, `dd serve --stream`, pipe a
+/// generated event stream through `dd ingest --to` in batches of 32, then
+/// check the served fold-in score and the state digest byte for byte against
+/// an offline `dd ingest` replay of the whole log at once, the ingest
+/// counters in `/metrics`, and the SIGINT drain.
+#[test]
+fn serve_e2e_stream_ingest_matches_offline_replay() {
+    let edges = tmp("graph_stream.edges");
+    let model_path = tmp("model_stream.json");
+    let events = tmp("events_stream.jsonl");
+    dd_stdout(&["generate", "twitter", "--scale", "400", "--out", &edges]);
+    dd_stdout(&[
+        "train",
+        &edges,
+        "--out",
+        &model_path,
+        "--dim",
+        "8",
+        "--iterations",
+        "20000",
+        "--seed",
+        "11",
+    ]);
+    dd_stdout(&["events", &edges, "--out", &events, "--count", "200", "--seed", "13"]);
+
+    // A new-arrival tie that is live at the end of the log: its follower id
+    // is past the snapshot's node count, so it is untrained and can only
+    // score through fold-in.
+    let header = std::fs::read_to_string(&edges).unwrap();
+    let nodes: u32 = header
+        .lines()
+        .next()
+        .and_then(|l| l.strip_prefix("n "))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("`n N` header line");
+    let log = dd_stream::parse_events(&std::fs::read_to_string(&events).unwrap()).unwrap();
+    let mut live = std::collections::BTreeSet::new();
+    for ev in &log {
+        let pairs = match ev.op {
+            dd_stream::EventOp::Reciprocate => vec![(ev.src, ev.dst), (ev.dst, ev.src)],
+            _ => vec![(ev.src, ev.dst)],
+        };
+        for pair in pairs {
+            if ev.op == dd_stream::EventOp::Unfollow {
+                live.remove(&pair);
+            } else {
+                live.insert(pair);
+            }
+        }
+    }
+    let &(src, dst) =
+        live.iter().find(|&&(s, _)| s >= nodes).expect("a live new-arrival tie in the log");
+
+    let mut child = dd()
+        .args(["serve", &model_path, "--stream", "--port", "0", "--workers", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("dd serve spawns");
+    let stdout = child.stdout.take().unwrap();
+    let mut guard = ChildGuard(Some(child));
+    let mut reader = BufReader::new(stdout);
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        let n = reader.read_line(&mut line).expect("read server stdout");
+        assert!(n > 0, "dd serve exited before printing its listening line");
+        if let Some(rest) = line.trim().strip_prefix("dd-serve listening on http://") {
+            break rest.to_string();
+        }
+    };
+    let retry = client::RetryPolicy::default();
+    assert_eq!(client::get_with_retry(&addr, "/healthz", &retry).unwrap().status, 200);
+    let score_path = format!("/score?src={src}&dst={dst}");
+    let before = client::get(&addr, &score_path).unwrap();
+    assert_eq!(before.status, 404, "untrained tie must 404 before ingest: {}", before.body);
+
+    // `dd ingest` returns once the last batch is applied, so the very next
+    // request must already score the folded-in tie.
+    let online = dd_stdout(&["ingest", "--to", &addr, "--events", &events, "--batch", "32"]);
+    let served = client::get(&addr, &score_path).unwrap();
+    assert_eq!(served.status, 200, "ingested tie must score: {}", served.body);
+    let (src_s, dst_s) = (src.to_string(), dst.to_string());
+    let offline_score =
+        dd_stdout(&["ingest", &model_path, "--events", &events, "--score", &src_s, &dst_s]);
+    let want = format!("\"score\":{}", offline_score.trim());
+    assert!(served.body.contains(&want), "served {} lacks {want}", served.body);
+
+    // The server saw batches of 32; the replay applies the log at once.
+    let offline = dd_stdout(&["ingest", &model_path, "--events", &events]);
+    let digest = |out: &str| out.lines().find(|l| l.starts_with("digest:")).map(str::to_string);
+    assert!(digest(&online).is_some(), "no digest line in {online:?}");
+    assert_eq!(digest(&online), digest(&offline), "online:\n{online}\noffline:\n{offline}");
+
+    let metrics = client::get(&addr, "/metrics").unwrap().body;
+    for name in
+        ["dd_serve_ingest_events_total", "dd_serve_ingest_batches_total", "dd_serve_stream_live"]
+    {
+        let value: f64 = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from /metrics:\n{metrics}"));
+        assert!(value > 0.0, "{name} is {value}");
+    }
+
+    let status =
+        Command::new("kill").args(["-INT", &guard.pid().to_string()]).status().expect("kill runs");
+    assert!(status.success());
+    let exit = guard.0.as_mut().unwrap().wait().expect("server exits");
+    assert!(exit.success(), "dd serve should exit cleanly on SIGINT, got {exit:?}");
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("drained and stopped"), "missing drain summary: {rest:?}");
     guard.0.take();
 }
 

@@ -48,15 +48,13 @@ fn workspace_lock_graph_is_acyclic() {
         cycles.is_empty(),
         "lock-acquisition-order graph has cycles (potential deadlocks): {cycles:?}"
     );
-    // Pin the two §7.15 ordering edges so a silent detection regression
-    // (edges vanishing, graph trivially acyclic) also fails this test.
-    for (from, to) in [("engine", "shard"), ("engine", "current")] {
-        assert!(
-            report.edges.iter().any(|e| e.from == from && e.to == to),
-            "expected {from}→{to} edge missing from the workspace lock graph: {:?}",
-            report.edges
-        );
-    }
+    // Pin the §7.15 ordering edge so a silent detection regression (edges
+    // vanishing, graph trivially acyclic) also fails this test.
+    assert!(
+        report.edges.iter().any(|e| e.from == "served" && e.to == "shard"),
+        "expected served→shard edge missing from the workspace lock graph: {:?}",
+        report.edges
+    );
 }
 
 #[test]

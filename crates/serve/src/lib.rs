@@ -12,11 +12,13 @@
 //!   frame — timeouts, parse, `traceparent`, panic isolation, metrics,
 //!   request log — and shutdown drains the queue before joining the pool.
 //!   A shard and the router differ only in their routes.
-//! - **Hot model reload** ([`slot`]): the model lives in an `Arc`-swappable
-//!   [`ModelSlot`]; `POST /admin/reload` swaps a new artifact in with zero
-//!   downtime while in-flight requests finish on the model they started
-//!   with. The fingerprint-keyed cache makes stale entries structurally
-//!   impossible.
+//! - **Hot model reload** ([`server`]): a shard keeps what it serves — the
+//!   model, its reload generation and, with `--stream`, the stream engine —
+//!   behind one `RwLock`. A request reads all three under one read guard;
+//!   `POST /admin/reload` loads the new artifact with no lock held and swaps
+//!   it in under the write guard, so no request mixes two generations and
+//!   the retired model is freed as soon as the swap is done. The
+//!   fingerprint-keyed cache makes stale entries structurally impossible.
 //! - **Sharded fleet** ([`router`]): `dd-router` consistent-hashes ties
 //!   across N shard processes, fails over on shard death, quarantines and
 //!   re-probes unhealthy shards, and aggregates `/metrics` with per-shard
@@ -34,9 +36,9 @@
 //!   invalidation and bit-identical replay (DESIGN.md §7.15).
 //! - **Observability**: per-endpoint request counters and latency
 //!   histograms in a [`Registry`](dd_telemetry::Registry) exported at
-//!   `GET /metrics`, plus structured JSONL request logs (with model
-//!   fingerprint + reload generation on every shard trace root) through the
-//!   dd-telemetry event sink. Each request-log root has `queue_wait` and
+//!   `GET /metrics`, plus structured JSONL request logs (with the answering
+//!   model's fingerprint + reload generation on the shard trace root)
+//!   through the dd-telemetry event sink. Each request-log root has `queue_wait` and
 //!   `handler.{endpoint}` child spans on both hops, and a caught handler
 //!   panic is a `500` under the `panic` endpoint label. `traceparent`
 //!   propagates client → router → shard, so a routed request is one trace
@@ -66,7 +68,6 @@ pub mod lru;
 pub mod router;
 pub mod server;
 pub mod signal;
-pub mod slot;
 
 pub use lru::ScoreCache;
 pub use router::{Router, RouterConfig, RouterHandle, RouterHealth, ShardHealth};
@@ -74,4 +75,3 @@ pub use server::{
     HealthResponse, IngestResponse, ReloadRequest, ReloadResponse, ScoreResponse, ServeConfig,
     Server, ServerHandle, TiePair,
 };
-pub use slot::{ModelSlot, SlotReader};

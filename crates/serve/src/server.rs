@@ -5,9 +5,11 @@
 //! timeouts, traces, graceful shutdown — is the one the router uses too
 //! (`front.rs`); this module supplies the routes. Each worker scores
 //! through the sharded LRU cache and records into a [`Registry`] that
-//! `/metrics` exports. The model lives in a [`ModelSlot`]: `POST
-//! /admin/reload` swaps a new artifact in while in-flight requests finish on
-//! the `Arc` they started with (DESIGN.md §7.14).
+//! `/metrics` exports. What the shard serves — the model, its reload
+//! generation and the optional stream engine — sits behind one `RwLock`:
+//! reads hold the read guard for the whole request, and `POST
+//! /admin/reload` swaps a new artifact in under the write guard after
+//! loading it with no lock held (DESIGN.md §7.14).
 //!
 //! With [`ServeConfig::stream`] on, the server also accepts `POST /ingest`:
 //! JSONL tie events fold into the frozen embedding space through a
@@ -33,7 +35,6 @@ use crate::front::{
 };
 use crate::http;
 use crate::lru::ScoreCache;
-use crate::slot::{ModelSlot, SlotReader};
 
 /// Server configuration. `Default` is suitable for local use.
 #[derive(Debug, Clone)]
@@ -92,12 +93,33 @@ impl ServeConfig {
     }
 }
 
-/// Streaming-ingest state: the engine plus its instruments. Present only
-/// when [`ServeConfig::stream`] is on.
+/// What a shard serves: the model, its reload generation and, with
+/// [`ServeConfig::stream`] on, the engine bound to that model. One lock
+/// guards all three, so a request reads the model, the overlay and the
+/// generation of one and the same reload.
+struct Served {
+    model: Arc<DirectionalityModel>,
+    /// 1 for the model the process started with, +1 per successful reload.
+    generation: u64,
+    engine: Option<StreamEngine>,
+}
+
+impl Served {
+    /// One uncached score: the engine answers when streaming (exact trained
+    /// scores for untouched pairs, fold-in for dynamic ones, `None` for
+    /// tombstones), the model otherwise. `scratch` is the worker-owned
+    /// fold-in buffer, so the streaming path never allocates per request.
+    fn score(&self, src: u32, dst: u32, scratch: &mut Vec<f32>) -> Option<f64> {
+        match &self.engine {
+            Some(engine) => engine.score(NodeId(src), NodeId(dst), scratch),
+            None => self.model.score(NodeId(src), NodeId(dst)),
+        }
+    }
+}
+
+/// Streaming-ingest instruments. Present only when [`ServeConfig::stream`]
+/// is on.
 struct StreamState {
-    /// Scoring takes read locks (one per cache miss); `POST /ingest` and
-    /// reload rebinds take the write lock.
-    engine: RwLock<StreamEngine>,
     /// Events applied over the server's lifetime (`serve.ingest.events`).
     events_applied: Arc<Counter>,
     /// Ingest batches accepted (`serve.ingest.batches`).
@@ -108,25 +130,14 @@ struct StreamState {
     live: Arc<Gauge>,
 }
 
-impl StreamState {
-    // Poison recovery mirrors the slot/worker locks: the guarded sections
-    // only mutate the engine's own plain data structures, so a poisoned
-    // lock means a panic elsewhere unwound through a guard — the engine
-    // state is still coherent (apply/rebind never partially apply).
-    fn read_engine(&self) -> RwLockReadGuard<'_, StreamEngine> {
-        self.engine.read().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn write_engine(&self) -> RwLockWriteGuard<'_, StreamEngine> {
-        self.engine.write().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
 /// Everything a worker needs to answer requests.
 struct AppState {
-    slot: Arc<ModelSlot>,
+    /// Reads (`/score`, `/batch`, `/healthz`, `/metrics`) hold the read
+    /// guard for the whole request; `/ingest` and `/admin/reload` take the
+    /// write guard.
+    served: RwLock<Served>,
     cache: Option<ScoreCache>,
-    /// Streaming-ingest engine; `None` unless [`ServeConfig::stream`].
+    /// Streaming-ingest instruments; `None` unless [`ServeConfig::stream`].
     stream: Option<StreamState>,
     registry: Arc<Registry>,
     observer: ObserverHandle,
@@ -157,24 +168,20 @@ struct RouteStats {
 }
 
 impl AppState {
-    fn new(slot: Arc<ModelSlot>, cfg: &ServeConfig) -> Self {
+    fn new(model: Arc<DirectionalityModel>, cfg: &ServeConfig) -> Self {
         let registry = Arc::new(Registry::new());
         registry.gauge("serve.pool.workers").set(cfg.workers as f64);
         let model_generation = registry.gauge("serve.model.generation");
-        model_generation.set(slot.generation() as f64);
-        let stream = if cfg.stream {
-            Some(StreamState {
-                engine: RwLock::new(StreamEngine::new(slot.load())),
-                events_applied: registry.counter("serve.ingest.events"),
-                batches: registry.counter("serve.ingest.batches"),
-                invalidations: registry.counter("serve.ingest.invalidations"),
-                live: registry.gauge("serve.stream.live"),
-            })
-        } else {
-            None
-        };
+        model_generation.set(1.0);
+        let stream = cfg.stream.then(|| StreamState {
+            events_applied: registry.counter("serve.ingest.events"),
+            batches: registry.counter("serve.ingest.batches"),
+            invalidations: registry.counter("serve.ingest.invalidations"),
+            live: registry.gauge("serve.stream.live"),
+        });
+        let engine = cfg.stream.then(|| StreamEngine::new(Arc::clone(&model)));
         AppState {
-            slot,
+            served: RwLock::new(Served { model, generation: 1, engine }),
             cache: ScoreCache::new(cfg.cache_size),
             stream,
             cache_hits: registry.counter("serve.cache.hits"),
@@ -193,6 +200,18 @@ impl AppState {
             panic_route: cfg.panic_route,
             registry,
         }
+    }
+
+    // Poison recovery: the write sections swap an `Arc` and a counter or
+    // fold events into the engine's plain data structures, and apply/rebind
+    // never partially apply, so a poisoned lock means a panic elsewhere
+    // unwound through a guard — what it guards is still coherent.
+    fn read_served(&self) -> RwLockReadGuard<'_, Served> {
+        self.served.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn write_served(&self) -> RwLockWriteGuard<'_, Served> {
+        self.served.write().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Refreshes `serve.pool.utilization`: the fraction of the worker
@@ -215,105 +234,45 @@ impl AppState {
         }
     }
 
-    /// Scores `(src, dst)` against `model` through the LRU cache. `None`
-    /// when the ordered tie is not in the trained universe (never cached).
+    /// Scores `(src, dst)` through the LRU cache. `None` when the ordered
+    /// tie is not live (never cached).
     ///
     /// Entries are keyed by the model's content fingerprint in addition to
-    /// the tie, so a hot reload invalidates the whole cache by construction
-    /// — stale scores can never be served, even while requests on two model
-    /// generations are in flight at once.
+    /// the tie, so a hot reload invalidates the whole cache by construction.
     ///
-    /// With streaming on, the compute *and* the insert both happen under
-    /// the engine read lock. `POST /ingest` takes the write lock to apply a
-    /// batch and removes the touched keys after releasing it; if the insert
-    /// ran outside the read lock, a whole ingest (apply + invalidate) could
-    /// slip between this request's compute and its insert, and the
-    /// pre-ingest score would be cached — and served — indefinitely.
-    /// Holding the read lock across both steps means a racing ingest either
-    /// waits for this insert (its removal then kills the entry) or has
-    /// already applied (this request computes the post-ingest score).
+    /// `served` is borrowed from the read guard the caller holds for the
+    /// whole request, so the compute *and* the insert both happen under it.
+    /// `POST /ingest` applies a batch under the write guard and removes the
+    /// touched keys after releasing it: a racing ingest either waits for
+    /// this insert (its removal then kills the entry) or has already
+    /// applied (this request computes the post-ingest score). An insert
+    /// outside the guard would let a whole apply-and-invalidate cycle slip
+    /// between compute and insert, caching the pre-ingest score for good.
     fn score_cached(
         &self,
-        model: &DirectionalityModel,
+        served: &Served,
         src: u32,
         dst: u32,
         scratch: &mut Vec<f32>,
         stats: &mut RouteStats,
     ) -> Option<f64> {
         let Some(cache) = &self.cache else {
-            return self.score_live(model, src, dst, scratch);
+            return served.score(src, dst, scratch);
         };
-        let key = (model.fingerprint(), src, dst);
+        let key = (served.model.fingerprint(), src, dst);
         if let Some(v) = cache.get(key) {
             self.cache_hits.incr();
             stats.cache_hits += 1;
             return Some(v);
         }
-        let v = if let Some(stream) = &self.stream {
-            let engine = stream.read_engine();
-            if engine.fingerprint() != model.fingerprint() {
-                // A reload is racing this request: the slot and the engine
-                // disagree on the generation for the duration of the swap.
-                // Serve the plain trained score but never cache it — the
-                // engine's overlay (tombstones, dynamic ties) was not
-                // consulted, so a cached entry could outlive the race and
-                // keep serving an overlay-blind score.
-                drop(engine);
-                let v = model.score(NodeId(src), NodeId(dst))?;
-                self.cache_misses.incr();
-                stats.cache_misses += 1;
-                return Some(v);
-            }
-            let v = engine.score(NodeId(src), NodeId(dst), scratch)?;
-            self.cache_misses.incr();
-            stats.cache_misses += 1;
-            // dd-lint: order(engine < shard) — §7.15 rule 1: cache shards
-            // are only ever locked under the engine lock (this insert, and
-            // ingest's removals run with no engine guard held at all), so
-            // the insert can never deadlock against an ingest invalidation
-            // dd-lint: acquires(shard) — ScoreCache::insert locks the
-            // key's LRU shard internally
-            if cache.insert(key, v) {
-                self.cache_evictions.incr();
-            }
-            v
-        } else {
-            let v = model.score(NodeId(src), NodeId(dst))?;
-            self.cache_misses.incr();
-            stats.cache_misses += 1;
-            if cache.insert(key, v) {
-                self.cache_evictions.incr();
-            }
-            v
-        };
+        let v = served.score(src, dst, scratch)?;
+        self.cache_misses.incr();
+        stats.cache_misses += 1;
+        if cache.insert(key, v) {
+            self.cache_evictions.incr();
+        }
         self.cache_occupancy.set(cache.len() as f64);
         Some(v)
-    }
-
-    /// Resolves one uncached score (the cache-disabled path). With
-    /// streaming on, the engine answers (exact trained scores for untouched
-    /// pairs, fold-in for dynamic ones, `None` for tombstones); without it,
-    /// the model answers directly. `scratch` is the worker-owned fold-in
-    /// buffer, so the streaming path never allocates per request.
-    fn score_live(
-        &self,
-        model: &DirectionalityModel,
-        src: u32,
-        dst: u32,
-        scratch: &mut Vec<f32>,
-    ) -> Option<f64> {
-        if let Some(stream) = &self.stream {
-            let engine = stream.read_engine();
-            if engine.fingerprint() == model.fingerprint() {
-                return engine.score(NodeId(src), NodeId(dst), scratch);
-            }
-            // A reload is racing this request: the engine rebinds to the
-            // new generation before the slot swap, so this request's model
-            // snapshot is one generation behind the engine. Fall through
-            // to the plain trained score for that snapshot — nothing is
-            // cached on this path, so nothing can go stale.
-        }
-        model.score(NodeId(src), NodeId(dst))
     }
 }
 
@@ -411,41 +370,57 @@ pub struct IngestResponse {
     pub fingerprint: String,
 }
 
-fn route(
+fn route(state: &AppState, w: &mut ShardWorker, req: &http::Request) -> Routed {
+    match (req.method.as_str(), req.path.as_str()) {
+        ("POST", "/ingest") => ingest_endpoint(state, w, req),
+        ("POST", "/admin/reload") => reload_endpoint(state, w, req),
+        // Fault injection for the chaos suite (ServeConfig::panic_route);
+        // with the flag off this falls through to the read routes' 404.
+        ("GET", "/__panic") if state.panic_route => {
+            panic!("injected handler panic via /__panic")
+        }
+        _ => {
+            // One read guard per request: the model, the overlay and the
+            // response fingerprint all come from one generation.
+            let served = state.read_served();
+            w.answered = Some((served.model.fingerprint(), served.generation));
+            // dd-lint: order(served < shard) — §7.15: a cache miss inserts
+            // while the request's read guard is live; ingest's removals and
+            // reload's purge run with no guard held
+            // dd-lint: acquires(shard) — /score and /batch misses insert into
+            // the key's LRU shard (ScoreCache::insert locks it internally)
+            read_route(state, &served, w, req)
+        }
+    }
+}
+
+/// The routes that only read what the shard serves.
+fn read_route(
     state: &AppState,
-    model: &Arc<DirectionalityModel>,
-    generation: u64,
+    served: &Served,
+    w: &mut ShardWorker,
     req: &http::Request,
-    scratch: &mut Vec<f32>,
-    stats: &mut RouteStats,
 ) -> Routed {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             let body = HealthResponse {
                 status: "ok".to_string(),
-                ties: model.n_ties(),
+                ties: served.model.n_ties(),
                 model_schema: MODEL_SCHEMA_VERSION,
-                model_fingerprint: format!("{:016x}", model.fingerprint()),
-                generation: Some(generation),
-                live_dynamic: state.stream.as_ref().map(|s| s.read_engine().live_dynamic() as u64),
+                model_fingerprint: format!("{:016x}", served.model.fingerprint()),
+                generation: Some(served.generation),
+                live_dynamic: served.engine.as_ref().map(|e| e.live_dynamic() as u64),
             };
             ("healthz", 200, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
         }
-        ("GET", "/score") => score_endpoint(state, model, req, scratch, stats),
-        ("POST", "/batch") => batch_endpoint(state, model, req, scratch, stats),
-        ("POST", "/ingest") => ingest_endpoint(state, req),
-        ("POST", "/admin/reload") => reload_endpoint(state, req),
-        // Fault injection for the chaos suite (ServeConfig::panic_route);
-        // with the flag off this falls through to the 404 arm.
-        ("GET", "/__panic") if state.panic_route => {
-            panic!("injected handler panic via /__panic")
-        }
+        ("GET", "/score") => score_endpoint(state, served, w, req),
+        ("POST", "/batch") => batch_endpoint(state, served, w, req),
         ("GET", "/metrics") => {
             if let Some(cache) = &state.cache {
                 state.cache_occupancy.set(cache.len() as f64);
             }
             state.update_pool_utilization();
-            state.model_generation.set(state.slot.generation() as f64);
+            state.model_generation.set(served.generation as f64);
             let mut body = render_metrics(&state.registry);
             // The 64-bit fingerprint cannot ride in an f64 gauge without
             // precision loss, so it rides as an info-style label instead
@@ -455,8 +430,8 @@ fn route(
                     "# HELP dd_serve_model_info Identity of the currently served model.\n\
                      # TYPE dd_serve_model_info gauge\n\
                      dd_serve_model_info{{fingerprint=\"{:016x}\"}} {}\n",
-                    model.fingerprint(),
-                    generation,
+                    served.model.fingerprint(),
+                    served.generation,
                 )
                 .as_bytes(),
             );
@@ -468,17 +443,16 @@ fn route(
 
 fn score_endpoint(
     state: &AppState,
-    model: &Arc<DirectionalityModel>,
+    served: &Served,
+    w: &mut ShardWorker,
     req: &http::Request,
-    scratch: &mut Vec<f32>,
-    stats: &mut RouteStats,
 ) -> Routed {
     let (src, dst) = match score_query(req) {
         Ok(pair) => pair,
         Err(routed) => return routed,
     };
-    let fingerprint = Some(format!("{:016x}", model.fingerprint()));
-    match state.score_cached(model, src, dst, scratch, stats) {
+    let fingerprint = Some(format!("{:016x}", served.model.fingerprint()));
+    match state.score_cached(served, src, dst, &mut w.scratch, &mut w.stats) {
         Some(score) => {
             let body = ScoreResponse { src, dst, score: Some(score), error: None, fingerprint };
             ("score", 200, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
@@ -498,34 +472,34 @@ fn score_endpoint(
 
 fn batch_endpoint(
     state: &AppState,
-    model: &Arc<DirectionalityModel>,
+    served: &Served,
+    w: &mut ShardWorker,
     req: &http::Request,
-    scratch: &mut Vec<f32>,
-    stats: &mut RouteStats,
 ) -> Routed {
     let pairs = match batch_pairs(req) {
         Ok(pairs) => pairs,
         Err(routed) => return routed,
     };
-    let fingerprint = format!("{:016x}", model.fingerprint());
+    let fingerprint = format!("{:016x}", served.model.fingerprint());
     let mut out = String::new();
     for pair in pairs {
-        let resp = match state.score_cached(model, pair.src, pair.dst, scratch, stats) {
-            Some(score) => ScoreResponse {
-                src: pair.src,
-                dst: pair.dst,
-                score: Some(score),
-                error: None,
-                fingerprint: Some(fingerprint.clone()),
-            },
-            None => ScoreResponse {
-                src: pair.src,
-                dst: pair.dst,
-                score: None,
-                error: Some("unknown tie".to_string()),
-                fingerprint: Some(fingerprint.clone()),
-            },
-        };
+        let resp =
+            match state.score_cached(served, pair.src, pair.dst, &mut w.scratch, &mut w.stats) {
+                Some(score) => ScoreResponse {
+                    src: pair.src,
+                    dst: pair.dst,
+                    score: Some(score),
+                    error: None,
+                    fingerprint: Some(fingerprint.clone()),
+                },
+                None => ScoreResponse {
+                    src: pair.src,
+                    dst: pair.dst,
+                    score: None,
+                    error: Some("unknown tie".to_string()),
+                    fingerprint: Some(fingerprint.clone()),
+                },
+            };
         out.push_str(&serde_json::to_string(&resp).unwrap_or_default());
         out.push('\n');
     }
@@ -537,14 +511,10 @@ fn batch_endpoint(
 /// entries, so the very next request scores against the new state.
 /// Application is atomic — any malformed line rejects the whole batch with
 /// a `400` before the engine sees a single event (DESIGN.md §7.15).
-fn ingest_endpoint(state: &AppState, req: &http::Request) -> Routed {
+fn ingest_endpoint(state: &AppState, w: &mut ShardWorker, req: &http::Request) -> Routed {
+    const DISABLED: &str = "streaming ingestion is disabled; start `dd serve` with --stream";
     let Some(stream) = &state.stream else {
-        return (
-            "ingest",
-            400,
-            JSON,
-            error_body("streaming ingestion is disabled; start `dd serve` with --stream"),
-        );
+        return ("ingest", 400, JSON, error_body(DISABLED));
     };
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return ("ingest", 400, JSON, error_body("body must be UTF-8 JSONL"));
@@ -556,16 +526,28 @@ fn ingest_endpoint(state: &AppState, req: &http::Request) -> Routed {
     if events.is_empty() {
         return ("ingest", 400, JSON, error_body("empty batch: send one JSON event per line"));
     }
-    // One write-lock hold per batch; scoring reads queue behind it only for
-    // the duration of the overlay fold (no I/O, no allocation spikes).
-    let ((fingerprint, report, live, events_total, digest), seconds) =
-        state.observer.time("ingest.apply", || {
-            let mut engine = stream.write_engine();
-            let fingerprint = engine.fingerprint();
-            let report = engine.apply_all(&events);
-            let live = engine.live_dynamic();
-            (fingerprint, report, live, engine.events_applied(), engine.state_digest())
-        });
+    // One write-lock hold per batch; reads queue behind it only for the
+    // duration of the overlay fold (no I/O, no allocation spikes).
+    let (applied, seconds) = state.observer.time("ingest.apply", || {
+        let mut served = state.write_served();
+        let generation = served.generation;
+        let engine = served.engine.as_mut()?;
+        let report = engine.apply_all(&events);
+        let fingerprint = engine.fingerprint();
+        let live = engine.live_dynamic();
+        Some((
+            fingerprint,
+            generation,
+            report,
+            live,
+            engine.events_applied(),
+            engine.state_digest(),
+        ))
+    });
+    let Some((fingerprint, generation, report, live, events_total, digest)) = applied else {
+        return ("ingest", 400, JSON, error_body(DISABLED));
+    };
+    w.answered = Some((fingerprint, generation));
     let mut invalidated = 0usize;
     if let Some(cache) = &state.cache {
         for &(u, v) in &report.touched {
@@ -592,12 +574,13 @@ fn ingest_endpoint(state: &AppState, req: &http::Request) -> Routed {
     ("ingest", 200, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
 }
 
-/// `POST /admin/reload`: loads the artifact named in the body off the hot
-/// path, validates it, and swaps it into the slot. In-flight requests keep
-/// the old `Arc`; the fingerprint-keyed cache makes their entries
-/// unreachable to the new generation automatically. The load runs on this
-/// worker thread — other workers keep serving throughout.
-fn reload_endpoint(state: &AppState, req: &http::Request) -> Routed {
+/// `POST /admin/reload`: loads and validates the artifact named in the body
+/// with no lock held — other workers keep serving throughout — then, under
+/// the write guard, rebinds the streaming engine and swaps the model and
+/// generation together. No request can pair one generation's model with
+/// another's overlay. The retired model is dropped and dead-generation
+/// cache entries purged after the guard is released.
+fn reload_endpoint(state: &AppState, w: &mut ShardWorker, req: &http::Request) -> Routed {
     let parsed: Result<ReloadRequest, _> = match std::str::from_utf8(&req.body) {
         Ok(text) => serde_json::from_str(text),
         Err(_) => return ("admin", 400, JSON, error_body("body must be UTF-8 JSON")),
@@ -615,40 +598,34 @@ fn reload_endpoint(state: &AppState, req: &http::Request) -> Routed {
     if new.n_ties() == 0 {
         return ("admin", 400, JSON, error_body("reload rejected: model has no ties"));
     }
-    let new_fingerprint = format!("{:016x}", new.fingerprint());
+    let new_fingerprint = new.fingerprint();
     let ties = new.n_ties();
-    let new_arc = Arc::new(new);
-    // Rebind the streaming engine — the retained event log re-normalizes
-    // against the new model's trained tie set, as if replayed from scratch
-    // — *before* the slot swap, holding the engine write lock across the
-    // swap. That ordering means no request can ever observe the new model
-    // with an engine still bound to the old generation: that interleaving
-    // would make the scorer fall through to the overlay-blind trained
-    // score and cache it under the new fingerprint, where it survives the
-    // generation purge below (e.g. a tombstoned tie serving its trained
-    // score until churned out). The benign reverse — a request holding the
-    // old slot snapshot against the rebound engine — stays uncached (see
-    // `score_cached`).
-    let old = if let Some(stream) = &state.stream {
-        let mut engine = stream.write_engine();
-        engine.rebind(Arc::clone(&new_arc));
-        stream.live.set(engine.live_dynamic() as f64);
-        // dd-lint: order(engine < current) — §7.15 rule 2: the slot swap
-        // happens under the engine write lock (rebind-then-swap), never
-        // the reverse, so no request can see the new model with an engine
-        // still bound to the old generation
-        // dd-lint: acquires(current) — Slot::swap locks the current-model
-        // mutex internally
-        state.slot.swap(Arc::clone(&new_arc))
-    } else {
-        state.slot.swap(Arc::clone(&new_arc))
+    let new = Arc::new(new);
+    let (old, generation, live) = {
+        let mut served = state.write_served();
+        // The retained event log, not the old overlay, re-normalizes against
+        // the new model's trained tie set, as if replayed from scratch.
+        let live = served.engine.as_mut().map(|engine| {
+            engine.rebind(Arc::clone(&new));
+            engine.live_dynamic()
+        });
+        served.generation += 1;
+        (std::mem::replace(&mut served.model, new), served.generation, live)
     };
-    let generation = state.slot.generation();
+    let old_fingerprint = old.fingerprint();
+    // Readers only borrow the model under the read guard, so this was the
+    // last reference: the retired model is freed here, outside the lock.
+    drop(old);
+    w.answered = Some((new_fingerprint, generation));
+    if let (Some(stream), Some(live)) = (&state.stream, live) {
+        stream.live.set(live as f64);
+    }
     // Entries keyed by dead generations can never be served again (the
     // fingerprint key changed), but until purged they squat on LRU capacity
-    // and force phantom evictions of live entries.
+    // and force phantom evictions of live entries. No reader of an older
+    // generation is left to insert one after this.
     let cache_purged = state.cache.as_ref().map(|cache| {
-        let purged = cache.purge_other_generations(new_arc.fingerprint()) as u64;
+        let purged = cache.purge_other_generations(new_fingerprint) as u64;
         state.cache_purged.add(purged);
         state.cache_occupancy.set(cache.len() as f64);
         purged
@@ -658,8 +635,8 @@ fn reload_endpoint(state: &AppState, req: &http::Request) -> Routed {
     state.observer.on_event(&Event::metric("serve.model.reload", generation as f64, None));
     let body = ReloadResponse {
         status: "reloaded".to_string(),
-        old_fingerprint: format!("{:016x}", old.fingerprint()),
-        new_fingerprint,
+        old_fingerprint: format!("{old_fingerprint:016x}"),
+        new_fingerprint: format!("{new_fingerprint:016x}"),
         generation,
         ties,
         cache_purged,
@@ -690,18 +667,15 @@ fn render_metrics(registry: &Registry) -> Vec<u8> {
     prometheus_text(&registry.snapshot(), &families).into_bytes()
 }
 
-/// A shard worker's own state, reused across its requests.
+/// A shard worker's own state, reused across its requests. It holds no
+/// model: a request borrows the served one under the read guard, so an idle
+/// worker keeps nothing alive across a reload.
 struct ShardWorker {
-    /// Steady-state requests cost one atomic generation load; only the
-    /// first request after a reload re-locks the slot to refresh the Arc.
-    reader: SlotReader,
     /// Reusable fold-in buffer — the streaming score path never allocates.
     scratch: Vec<f32>,
-    /// The request's model snapshot, pinned once per request so a reload
-    /// mid-request cannot change what it scores against, and so the
-    /// response fingerprint always names the model that actually answered.
-    model: Arc<DirectionalityModel>,
-    generation: u64,
+    /// `(fingerprint, generation)` of the model that answered this request,
+    /// for the trace root; `None` when no model was consulted.
+    answered: Option<(u64, u64)>,
     stats: RouteStats,
 }
 
@@ -709,24 +683,20 @@ impl Service for AppState {
     type Worker = ShardWorker;
 
     fn worker(&self) -> ShardWorker {
-        let mut reader = self.slot.reader();
-        let model = Arc::clone(reader.current());
-        let generation = reader.generation();
-        ShardWorker { reader, scratch: Vec::new(), model, generation, stats: RouteStats::default() }
+        ShardWorker { scratch: Vec::new(), answered: None, stats: RouteStats::default() }
     }
 
     fn begin(&self, w: &mut ShardWorker) {
-        w.model = Arc::clone(w.reader.current());
-        w.generation = w.reader.generation();
+        w.answered = None;
         w.stats = RouteStats::default();
     }
 
     fn route(&self, w: &mut ShardWorker, req: &http::Request, _traceparent: &str) -> Routed {
-        route(self, &w.model, w.generation, req, &mut w.scratch, &mut w.stats)
+        route(self, w, req)
     }
 
     /// Tags the handler span with the request's cache hits/misses, and puts
-    /// the serving model's identity on the trace root so a dashboard can
+    /// the answering model's identity on the trace root so a dashboard can
     /// slice request latency by reload generation.
     fn trace(&self, w: &ShardWorker, handler: &HandlerSpan<'_>, root: &mut Event) {
         for (name, count) in
@@ -744,8 +714,10 @@ impl Service for AppState {
             tag.start_seconds = Some(handler.start_seconds);
             self.observer.on_event(&tag);
         }
-        root.model_fingerprint = Some(format!("{:016x}", w.model.fingerprint()));
-        root.fields = Some(vec![("model.generation".to_string(), w.generation as f64)]);
+        if let Some((fingerprint, generation)) = w.answered {
+            root.model_fingerprint = Some(format!("{fingerprint:016x}"));
+            root.fields = Some(vec![("model.generation".to_string(), generation as f64)]);
+        }
     }
 }
 
@@ -760,15 +732,8 @@ impl Server {
         model: Arc<DirectionalityModel>,
         cfg: ServeConfig,
     ) -> Result<ServerHandle, String> {
-        Self::start_with_slot(Arc::new(ModelSlot::new(model)), cfg)
-    }
-
-    /// [`Server::start`] with a caller-owned [`ModelSlot`], for embedders
-    /// that want to drive swaps directly instead of via `POST /admin/reload`
-    /// (tests, embedding hosts).
-    pub fn start_with_slot(slot: Arc<ModelSlot>, cfg: ServeConfig) -> Result<ServerHandle, String> {
         cfg.validate()?;
-        let state = Arc::new(AppState::new(Arc::clone(&slot), &cfg));
+        let state = Arc::new(AppState::new(model, &cfg));
         let front_cfg = FrontConfig {
             prefix: "serve",
             log_prefix: "",
@@ -780,7 +745,7 @@ impl Server {
             observer: cfg.observer,
         };
         let front = front::start(front_cfg, Arc::clone(&state.registry), state)?;
-        Ok(ServerHandle { front, slot })
+        Ok(ServerHandle { front })
     }
 }
 
@@ -789,7 +754,6 @@ impl Server {
 /// count back.
 pub struct ServerHandle {
     front: FrontHandle,
-    slot: Arc<ModelSlot>,
 }
 
 impl ServerHandle {
@@ -801,11 +765,6 @@ impl ServerHandle {
     /// The server's metric registry (same data `/metrics` renders).
     pub fn registry(&self) -> Arc<Registry> {
         self.front.registry()
-    }
-
-    /// The hot-swappable model slot the server scores from.
-    pub fn slot(&self) -> Arc<ModelSlot> {
-        Arc::clone(&self.slot)
     }
 
     /// Total requests handled so far, across all endpoints.

@@ -6,8 +6,10 @@
 //! statement that a reader never sees a torn or stale model.
 
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use dd_graph::generators::{social_network, SocialNetConfig};
@@ -177,4 +179,62 @@ fn reload_error_paths_reject_without_disturbing_the_served_model() {
     assert_eq!(health.generation, Some(1));
     assert_eq!(health.model_fingerprint, fingerprint);
     handle.shutdown();
+}
+
+/// Makes each of a shard's `workers` threads answer one request: every
+/// connection is open before any request is written, so each is taken by a
+/// distinct worker, which then waits for its request. The pause gives the
+/// acceptor time to hand them out; the retention check does not depend on
+/// how they end up spread.
+fn occupy_every_worker(addr: &str, workers: usize, path: &str) {
+    let mut conns: Vec<TcpStream> =
+        (0..workers).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+    std::thread::sleep(Duration::from_millis(100));
+    for conn in &mut conns {
+        write!(conn, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("write request");
+    }
+    for mut conn in conns {
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).expect("read reply");
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    }
+}
+
+/// A shard holds at most two generations: the one it serves and, during a
+/// reload, the one it loads. Once a reload has answered, nothing keeps the
+/// retired model alive — not the worker that ran the reload, and not the
+/// idle workers that last scored against it.
+#[test]
+fn idle_workers_do_not_keep_retired_models_alive() {
+    const WORKERS: usize = 4;
+    let models = fit_family(2);
+    let dir = std::env::temp_dir().join(format!("dd_reload_retire_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let artifact = dir.join("next.ddm");
+    models[1].save_binary_to_path(&artifact).unwrap();
+    let body =
+        format!("{{\"path\":{}}}", serde_json::to_string(&artifact.display().to_string()).unwrap());
+
+    let first = Arc::new(models[0].clone());
+    let retired: Weak<DirectionalityModel> = Arc::downgrade(&first);
+    let handle = Server::start(
+        first,
+        ServeConfig { addr: "127.0.0.1:0".to_string(), workers: WORKERS, ..ServeConfig::default() },
+    )
+    .expect("server starts");
+    let addr = handle.addr().to_string();
+    let (src, dst) = models[0].ties()[0];
+    occupy_every_worker(&addr, WORKERS, &format!("/score?src={src}&dst={dst}"));
+
+    // K = 3 reloads while the workers sit idle.
+    for k in 0..3 {
+        let resp = client::post(&addr, "/admin/reload", &body).expect("reload request");
+        assert_eq!(resp.status, 200, "reload {k} failed: {}", resp.body);
+        assert!(
+            retired.upgrade().is_none(),
+            "reload {k}: the boot model is still alive after being retired"
+        );
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

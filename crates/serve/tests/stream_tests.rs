@@ -19,12 +19,18 @@ use dd_graph::sampling::hide_directions;
 use dd_graph::NodeId;
 use dd_serve::client;
 use dd_serve::{HealthResponse, IngestResponse, ReloadResponse, ServeConfig, Server, ServerHandle};
-use dd_stream::{to_jsonl, EventOp, TieEvent};
+use dd_stream::{to_jsonl, EventOp, StreamEngine, TieEvent};
 use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel, FoldInScorer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn fit_model(seed: u64) -> DirectionalityModel {
+    fit_sibling(seed, seed)
+}
+
+/// A model over `fit_model(seed)`'s network (so the same tie set) trained
+/// with `train_seed`: a reload target with the same ties but other scores.
+fn fit_sibling(seed: u64, train_seed: u64) -> DirectionalityModel {
     let gen_cfg = SocialNetConfig { n_nodes: 60, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(seed);
     let net = social_network(&gen_cfg, &mut rng).network;
@@ -32,7 +38,7 @@ fn fit_model(seed: u64) -> DirectionalityModel {
     let cfg = DeepDirectConfig {
         dim: 8,
         max_iterations: Some(5_000),
-        seed,
+        seed: train_seed,
         ..DeepDirectConfig::default()
     };
     DeepDirect::new(cfg).fit(&hidden)
@@ -149,8 +155,15 @@ fn unfollow_invalidates_the_cached_entry_and_refollow_restores_the_exact_score()
 /// The fix inserts while still holding the read lock; this test hammers the
 /// window from a concurrent scorer and asserts the tombstone always holds
 /// once the ingest response has returned.
+///
+/// The reload phase then pins the served bytes across 20 reloads that
+/// alternate between the boot model and a sibling with the same tie set:
+/// a tombstoned trained tie is a 404 and a folded-in tie a 200 with the
+/// offline replay's score for whichever model answered — a request never
+/// pairs one generation's model with another's overlay.
 #[test]
 fn concurrent_scores_never_resurrect_a_tombstoned_tie() {
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let model = Arc::new(fit_model(28));
@@ -158,6 +171,7 @@ fn concurrent_scores_never_resurrect_a_tombstoned_tie() {
     let handle = start_streaming(&model, |cfg| cfg.workers = 4);
     let addr = handle.addr().to_string();
     let path = format!("/score?src={u}&dst={v}");
+    let mut log = Vec::new();
 
     let stop = Arc::new(AtomicBool::new(false));
     dd_runtime::scope(|s| {
@@ -170,7 +184,8 @@ fn concurrent_scores_never_resurrect_a_tombstoned_tie() {
             });
         }
         for round in 0..30 {
-            let _ = ingest(&addr, &[TieEvent::new(EventOp::Unfollow, u, v)]);
+            log.push(TieEvent::new(EventOp::Unfollow, u, v));
+            let _ = ingest(&addr, &log[log.len() - 1..]);
             // By the time the ingest response returns, its invalidation is
             // complete — no interleaving with the concurrent scorer may
             // leave (or later insert) a pre-ingest score in the cache.
@@ -182,10 +197,69 @@ fn concurrent_scores_never_resurrect_a_tombstoned_tie() {
                     resp.body
                 );
             }
-            let _ = ingest(&addr, &[TieEvent::new(EventOp::Follow, u, v)]);
+            log.push(TieEvent::new(EventOp::Follow, u, v));
+            let _ = ingest(&addr, &log[log.len() - 1..]);
         }
         stop.store(true, Ordering::Relaxed);
     });
+
+    // Reload phase: tombstone (u, v), fold in an unseen pair, then reload
+    // 20 times while two threads score both pairs.
+    let sibling = Arc::new(fit_sibling(28, 29));
+    assert_ne!(sibling.fingerprint(), model.fingerprint());
+    let (du, dv) = unseen_pair(&model);
+    log.push(TieEvent::new(EventOp::Unfollow, u, v));
+    log.push(TieEvent::new(EventOp::Follow, du, dv));
+    let _ = ingest(&addr, &log[log.len() - 2..]);
+    let mut scratch = Vec::new();
+    let offline: HashMap<String, u64> = [&model, &sibling]
+        .into_iter()
+        .map(|m| {
+            let replay = StreamEngine::replay(Arc::clone(m), &log);
+            let score = replay.score(NodeId(du), NodeId(dv), &mut scratch).expect("folded in");
+            (format!("{:016x}", m.fingerprint()), score.to_bits())
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("dd_stream_race_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut bodies = Vec::new();
+    for (name, m) in [("sibling.ddm", &sibling), ("boot.ddm", &model)] {
+        let artifact = dir.join(name);
+        m.save_binary_to_path(&artifact).unwrap();
+        bodies.push(format!(
+            "{{\"path\":{}}}",
+            serde_json::to_string(&artifact.display().to_string()).unwrap()
+        ));
+    }
+    let stop = AtomicBool::new(false);
+    dd_runtime::scope(|s| {
+        for _ in 0..2 {
+            let (addr, path, stop, offline) = (&addr, &path, &stop, &offline);
+            s.spawn(move || {
+                let dynamic = format!("/score?src={du}&dst={dv}");
+                while !stop.load(Ordering::Relaxed) {
+                    let dead = client::get(addr, path).expect("score");
+                    assert_eq!(dead.status, 404, "tombstone served during reload: {}", dead.body);
+                    let live = client::get(addr, &dynamic).expect("score");
+                    assert_eq!(live.status, 200, "dynamic tie lost during reload: {}", live.body);
+                    let parsed: dd_serve::ScoreResponse =
+                        serde_json::from_str(&live.body).expect("score JSON");
+                    let fp = parsed.fingerprint.expect("score carries fingerprint");
+                    assert_eq!(
+                        parsed.score.expect("live tie").to_bits(),
+                        offline[&fp],
+                        "dynamic tie not the offline replay's score under {fp}"
+                    );
+                }
+            });
+        }
+        for i in 0..20 {
+            let resp = client::post(&addr, "/admin/reload", &bodies[i % 2]).expect("reload");
+            assert_eq!(resp.status, 200, "reload {i} failed: {}", resp.body);
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -14,7 +14,8 @@
 //! overlay lives in a `BTreeMap`. Replaying the same log against the same
 //! model therefore reproduces bit-identical state and scores regardless of
 //! how the log was batched — pinned by [`state_digest`](StreamEngine::state_digest)
-//! tests here and end-to-end in the CI `stream-smoke` job.
+//! tests here and end to end against the `dd` binary in
+//! `crates/cli/tests/serve_e2e.rs`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -53,13 +54,24 @@ pub struct StreamEngine {
     index: FoldInIndex,
     overlay: BTreeMap<(u32, u32), Overlay>,
     log: Vec<TieEvent>,
+    /// `Added` entries in `overlay`, kept by `apply_follow`/`apply_unfollow`.
+    live_dynamic: usize,
+    /// `Removed` entries in `overlay`, kept the same way.
+    removed_trained: usize,
 }
 
 impl StreamEngine {
     /// An engine with an empty event log over `model`.
     pub fn new(model: Arc<DirectionalityModel>) -> Self {
         let index = FoldInIndex::build(&model);
-        StreamEngine { model, index, overlay: BTreeMap::new(), log: Vec::new() }
+        StreamEngine {
+            model,
+            index,
+            overlay: BTreeMap::new(),
+            log: Vec::new(),
+            live_dynamic: 0,
+            removed_trained: 0,
+        }
     }
 
     /// An engine with `events` already applied — the replay constructor.
@@ -92,12 +104,12 @@ impl StreamEngine {
 
     /// Live dynamic ties (untrained pairs currently followed).
     pub fn live_dynamic(&self) -> usize {
-        self.overlay.values().filter(|&&s| s == Overlay::Added).count()
+        self.live_dynamic
     }
 
     /// Trained ties currently tombstoned by an unfollow.
     pub fn removed_trained(&self) -> usize {
-        self.overlay.values().filter(|&&s| s == Overlay::Removed).count()
+        self.removed_trained
     }
 
     fn trained(&self, u: u32, v: u32) -> bool {
@@ -109,18 +121,26 @@ impl StreamEngine {
         if self.trained(u, v) {
             // A trained pair is live unless tombstoned; a follow clears the
             // tombstone (back to the exact trained score).
-            self.overlay.remove(&(u, v)) == Some(Overlay::Removed)
+            let changed = self.overlay.remove(&(u, v)) == Some(Overlay::Removed);
+            self.removed_trained -= usize::from(changed);
+            changed
         } else {
-            self.overlay.insert((u, v), Overlay::Added) != Some(Overlay::Added)
+            let changed = self.overlay.insert((u, v), Overlay::Added) != Some(Overlay::Added);
+            self.live_dynamic += usize::from(changed);
+            changed
         }
     }
 
     /// Makes `(u, v)` dead, returning whether the pair's score changed.
     fn apply_unfollow(&mut self, u: u32, v: u32) -> bool {
         if self.trained(u, v) {
-            self.overlay.insert((u, v), Overlay::Removed) != Some(Overlay::Removed)
+            let changed = self.overlay.insert((u, v), Overlay::Removed) != Some(Overlay::Removed);
+            self.removed_trained += usize::from(changed);
+            changed
         } else {
-            self.overlay.remove(&(u, v)) == Some(Overlay::Added)
+            let changed = self.overlay.remove(&(u, v)) == Some(Overlay::Added);
+            self.live_dynamic -= usize::from(changed);
+            changed
         }
     }
 
@@ -201,6 +221,8 @@ impl StreamEngine {
         self.index = FoldInIndex::build(&model);
         self.model = model;
         self.overlay.clear();
+        self.live_dynamic = 0;
+        self.removed_trained = 0;
         let log = std::mem::take(&mut self.log);
         for &ev in &log {
             self.apply_op(ev);
@@ -421,5 +443,62 @@ mod tests {
         engine.rebind(Arc::clone(&other));
         let fresh = StreamEngine::replay(other, &log);
         assert_eq!(engine.state_digest(), fresh.state_digest());
+    }
+
+    /// The two counts recomputed from scratch over the overlay.
+    fn recount(engine: &StreamEngine) -> (usize, usize) {
+        let count = |state| engine.overlay.values().filter(|&&s| s == state).count();
+        (count(Overlay::Added), count(Overlay::Removed))
+    }
+
+    fn counts(engine: &StreamEngine) -> (usize, usize) {
+        (engine.live_dynamic(), engine.removed_trained())
+    }
+
+    /// Two models over one network, trained once for every proptest case.
+    fn shared_models() -> &'static (MixedSocialNetwork, [Arc<DirectionalityModel>; 2]) {
+        static MODELS: std::sync::OnceLock<(MixedSocialNetwork, [Arc<DirectionalityModel>; 2])> =
+            std::sync::OnceLock::new();
+        MODELS.get_or_init(|| {
+            let (g, a) = trained_model(49);
+            let cfg = DeepDirectConfig {
+                dim: 8,
+                max_iterations: Some(20_000),
+                seed: 50,
+                ..Default::default()
+            };
+            let b = Arc::new(DeepDirect::new(cfg).fit(&g));
+            (g, [a, b])
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The O(1) counts kept by apply/rebind equal a recount over the
+        /// overlay after any event sequence, and after every rebind.
+        #[test]
+        fn kept_counts_match_a_recount_over_the_overlay(
+            raw in proptest::collection::vec((0u8..3, 0usize..16, 0u32..4, 0u32..4), 0..60),
+        ) {
+            let (g, models) = shared_models();
+            let trained: Vec<(u32, u32)> =
+                g.iter_ties().take(8).map(|(_, t)| (t.src.0, t.dst.0)).collect();
+            let mut engine = StreamEngine::new(Arc::clone(&models[0]));
+            for (op, pick, a, b) in raw {
+                // Half the picks name a trained tie, half one of 16 pairs
+                // past the network's node range (never trained), so
+                // tombstones, refollows, dynamic follows and unfollows of
+                // the same pairs all recur.
+                let (u, v) = trained.get(pick).copied().unwrap_or((1000 + a, 1004 + b));
+                let op = [EventOp::Follow, EventOp::Unfollow, EventOp::Reciprocate][op as usize];
+                engine.apply(TieEvent::new(op, u, v));
+                proptest::prop_assert_eq!(counts(&engine), recount(&engine));
+            }
+            for model in [&models[1], &models[0]] {
+                engine.rebind(Arc::clone(model));
+                proptest::prop_assert_eq!(counts(&engine), recount(&engine));
+            }
+        }
     }
 }
