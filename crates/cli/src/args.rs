@@ -88,10 +88,10 @@ mod tests {
 
     #[test]
     fn parses_command_positionals_and_flags() {
-        let a = parse(&["train", "net.edges", "--dim", "64", "--out", "model.json"]);
+        let a = parse(&["train", "net.edges", "--dim", "64", "--out", "model.ddm"]);
         assert_eq!(a.command, "train");
         assert_eq!(a.positional(0, "input").unwrap(), "net.edges");
-        assert_eq!(a.get("out", ""), "model.json");
+        assert_eq!(a.get("out", ""), "model.ddm");
         assert_eq!(a.get_num::<usize>("dim", 128).unwrap(), 64);
     }
 

@@ -2,14 +2,13 @@
 //!
 //! | command | action |
 //! |---|---|
-//! | `train <edges> --out model.json` | fit DeepDirect on an edge list |
+//! | `train <edges> --out model.ddm` | fit DeepDirect on an edge list, write the `.ddm` |
 //! | `predict <model> <src> <dst>` | print `d(src, dst)` and `d(dst, src)` |
 //! | `discover <edges> [--model m]` | orient every undirected tie (Eq. 28) |
 //! | `quantify <edges> [--model m]` | print the directionality adjacency entries for bidirectional ties |
 //! | `generate <dataset> --out f` | write a synthetic dataset analog |
 //! | `stats <edges>` | dataset statistics (Table 2 columns) |
 //! | `score <model> <src> <dst>` | print one raw score (machine-readable) |
-//! | `export <model> --out f` | re-encode a model (binary `.ddm` by default) |
 //! | `serve <model> --port P` | HTTP query server (see `dd-serve`) |
 //! | `events <edges> --out f` | generate a temporal tie-event stream (JSONL) |
 //! | `ingest --to ADDR` | pipe a tie-event log into a streaming `dd serve` |
@@ -50,7 +49,6 @@ pub fn run(args: &Args) -> Result<String, String> {
         "generate" => generate(args),
         "stats" => stats(args),
         "score" => score(args),
-        "export" => export(args),
         "serve" => serve(args),
         "events" => events_cmd(args),
         "ingest" => ingest(args),
@@ -67,20 +65,16 @@ pub fn usage() -> String {
     "dd (deepdirect CLI) — tie direction learning (Wang et al., TKDE 2018)
 
 USAGE:
-  dd train   <edges>          --out <model.json> [--dim N] [--alpha A] [--beta B]
+  dd train   <edges>          --out <model.ddm> [--dim N] [--alpha A] [--beta B]
                                       [--iterations N] [--threads T] [--seed S]
   dd predict <model> <src> <dst>
-  dd discover <edges>         [--model <model.json>] [--top N]
-  dd quantify <edges>         [--model <model.json>] [--top N]
+  dd discover <edges>         [--model <model.ddm>] [--top N]
+  dd quantify <edges>         [--model <model.ddm>] [--top N]
   dd generate <dataset>       --out <edges> [--scale K] [--seed S]
                                       (datasets: twitter livejournal epinions slashdot tencent)
   dd stats   <edges>          [--json]
   dd score   <model> <src> <dst>
                                       (machine-readable: prints the raw d(src,dst) value)
-  dd export  <model>          --out <file> [--binary|--json]
-                                      (re-encode a model artifact; default is the compact
-                                       binary .ddm container, --json the portable JSON.
-                                       Input format is sniffed — converts either way)
   dd serve   <model>          [--host H] [--port P] [--workers N] [--cache-size N]
                                       [--request-timeout-ms MS] [--queue-depth N] [--stream]
                                       (HTTP endpoints: /healthz /score /batch
@@ -113,11 +107,6 @@ USAGE:
                                       (per-stage self-time table + critical path)
   dd profile <command> [args…]        run any dd command with allocation counting
                                       enabled; appends wall/alloc/peak-RSS summary
-
-MODEL FORMATS:
-  <model> arguments are format-sniffed: the portable JSON format and the
-  compact binary .ddm container (written by dd export) load interchangeably
-  and score bit-identically (DESIGN.md §7.13).
 
 THREADS:
   --threads T                 worker threads for parallel stages; falls back to
@@ -196,9 +185,9 @@ fn load_net(path: &str) -> Result<MixedSocialNetwork, String> {
     load_edge_list(path).map_err(|e| format!("loading '{path}': {e}"))
 }
 
-/// Loads a model artifact (JSON or binary, sniffed) under a `model.load`
-/// telemetry span, and records the artifact's size as a `model.load.bytes`
-/// metric so traces show effective load bandwidth alongside the wall time.
+/// Loads a `.ddm` model under a `model.load` telemetry span, and records the
+/// artifact's size as a `model.load.bytes` metric so traces show effective
+/// load bandwidth alongside the wall time.
 fn load_model_traced(path: &str, obs: &ObserverHandle) -> Result<DirectionalityModel, String> {
     let (loaded, _seconds) = obs.time("model.load", || DirectionalityModel::load_from_path(path));
     if obs.is_enabled() {
@@ -223,11 +212,11 @@ fn fit_or_load(args: &Args, g: &MixedSocialNetwork) -> Result<DirectionalityMode
 
 fn train(args: &Args) -> Result<String, String> {
     let input = args.positional(0, "edges")?;
-    let out = args.flags.get("out").ok_or("train requires --out <model.json>")?;
+    let out = args.flags.get("out").ok_or("train requires --out <model.ddm>")?;
     let g = load_net(input)?;
     let cfg = model_config(args)?;
     let model = DeepDirect::new(cfg).fit(&g);
-    model.save_to_path(out)?;
+    model.save_binary_to_path(out).map_err(|e| format!("writing '{out}': {e}"))?;
     Ok(format!(
         "trained on {} nodes / {} ties ({} E-Step iterations); model written to {out}\n{}",
         g.n_nodes(),
@@ -352,35 +341,6 @@ fn score(args: &Args) -> Result<String, String> {
         Some(v) => Ok(format!("{v}")),
         None => Err(format!("tie ({src},{dst}) was not in the training network")),
     }
-}
-
-/// `dd export <model> --out <file>`: re-encodes a model artifact. The
-/// default output is the compact binary `.ddm` container (DESIGN.md §7.13);
-/// `--json` writes the portable JSON format instead. The input format is
-/// sniffed, so this converts in either direction — and because both formats
-/// load into the same aligned store, the re-encoded artifact scores
-/// bit-identically to its source.
-fn export(args: &Args) -> Result<String, String> {
-    let model_path = args.positional(0, "model")?;
-    let out = args.flags.get("out").ok_or("export requires --out <file>")?;
-    let as_json = args.get_bool("json");
-    if as_json && args.get_bool("binary") {
-        return Err("export: --binary and --json are mutually exclusive".into());
-    }
-    let model = load_model_traced(model_path, &telemetry_observer(args)?)?;
-    if as_json {
-        model.save_to_path(out)?;
-    } else {
-        model.save_binary_to_path(out)?;
-    }
-    let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    Ok(format!(
-        "exported {} model ({} ties, dim {}) to {out} ({bytes} bytes, fingerprint {:016x})",
-        if as_json { "JSON" } else { "binary" },
-        model.n_ties(),
-        model.dim(),
-        model.fingerprint(),
-    ))
 }
 
 /// `dd serve <model>`: blocks until SIGINT/SIGTERM, then drains gracefully.
@@ -934,7 +894,7 @@ mod tests {
     #[test]
     fn help_and_unknown_commands() {
         assert!(run_words(&["help"]).unwrap().contains("USAGE"));
-        for word in ["frobnicate", "bench"] {
+        for word in ["frobnicate", "bench", "export"] {
             let err = run_words(&[word]).unwrap_err();
             assert!(err.contains("unknown command"), "{word}: {err}");
             assert!(!usage().contains(&format!("dd {word}")), "usage lists '{word}'");
@@ -968,7 +928,7 @@ mod tests {
     #[test]
     fn train_with_telemetry_writes_spans_and_progress() {
         let edges = demo_network_file();
-        let model = tmp("telemetry_model.json");
+        let model = tmp("telemetry_model.ddm");
         let jsonl = tmp("telemetry.jsonl");
         run_words(&[
             "train",
@@ -1013,7 +973,7 @@ mod tests {
         let edges = demo_network_file();
         // `--telemetry` parses as the boolean "true"; it must not create a
         // JSONL file literally named `true`.
-        let model = tmp("bare_flag_model.json");
+        let model = tmp("bare_flag_model.ddm");
         let err = run_words(&["train", &edges, "--out", &model, "--telemetry"]).unwrap_err();
         assert!(err.contains("requires a file path"), "{err}");
         assert!(!std::path::Path::new("true").exists());
@@ -1022,11 +982,13 @@ mod tests {
     #[test]
     fn train_predict_roundtrip() {
         let edges = demo_network_file();
-        let model = tmp("model.json");
+        let model = tmp("model.ddm");
         let out =
             run_words(&["train", &edges, "--out", &model, "--dim", "8", "--iterations", "3000"])
                 .unwrap();
         assert!(out.contains("trained"));
+        // `train --out` writes the `.ddm` container.
+        assert!(std::fs::read(&model).unwrap().starts_with(&deepdirect::binfmt::MAGIC));
         let pred = run_words(&["predict", &model, "0", "1"]).unwrap();
         assert!(pred.contains("predicted direction"));
         // Unknown pair errors cleanly.
@@ -1036,7 +998,7 @@ mod tests {
     #[test]
     fn score_prints_raw_machine_readable_value() {
         let edges = demo_network_file();
-        let model = tmp("score_model.json");
+        let model = tmp("score_model.ddm");
         run_words(&["train", &edges, "--out", &model, "--dim", "8", "--iterations", "3000"])
             .unwrap();
         let out = run_words(&["score", &model, "0", "1"]).unwrap();
@@ -1051,44 +1013,9 @@ mod tests {
     }
 
     #[test]
-    fn export_converts_formats_and_scores_stay_textually_identical() {
-        let edges = demo_network_file();
-        let json_model = tmp("export_model.json");
-        run_words(&["train", &edges, "--out", &json_model, "--dim", "8", "--iterations", "3000"])
-            .unwrap();
-
-        // JSON → binary (the default), then binary → JSON again.
-        let ddm = tmp("export_model.ddm");
-        let out = run_words(&["export", &json_model, "--out", &ddm, "--binary"]).unwrap();
-        assert!(out.contains("exported binary model"), "{out}");
-        let fingerprint = DirectionalityModel::load_from_path(&json_model).unwrap().fingerprint();
-        assert!(out.contains(&format!("fingerprint {fingerprint:016x}")), "{out}");
-        let json2 = tmp("export_model_roundtrip.json");
-        let out = run_words(&["export", &ddm, "--out", &json2, "--json"]).unwrap();
-        assert!(out.contains("exported JSON model"), "{out}");
-
-        // `dd score` output is textually identical across all three
-        // artifacts; serve_e2e makes the same check over HTTP.
-        let s_json = run_words(&["score", &json_model, "0", "1"]).unwrap();
-        let s_bin = run_words(&["score", &ddm, "0", "1"]).unwrap();
-        let s_json2 = run_words(&["score", &json2, "0", "1"]).unwrap();
-        assert_eq!(s_json, s_bin, "JSON vs binary scores must match textually");
-        assert_eq!(s_json, s_json2, "binary → JSON round-trip must not drift");
-
-        // The binary artifact is the compact one, and flag misuse errors.
-        let bin_len = std::fs::metadata(&ddm).unwrap().len();
-        let json_len = std::fs::metadata(&json_model).unwrap().len();
-        assert!(bin_len < json_len, "binary ({bin_len}) must be smaller than JSON ({json_len})");
-        assert!(run_words(&["export", &json_model, "--out", &ddm, "--binary", "--json"])
-            .unwrap_err()
-            .contains("mutually exclusive"));
-        assert!(run_words(&["export", &json_model]).unwrap_err().contains("--out"));
-    }
-
-    #[test]
     fn model_load_span_lands_in_telemetry() {
         let edges = demo_network_file();
-        let model = tmp("load_span_model.json");
+        let model = tmp("load_span_model.ddm");
         run_words(&["train", &edges, "--out", &model, "--dim", "8", "--iterations", "3000"])
             .unwrap();
         let jsonl = tmp("load_span.jsonl");
@@ -1167,7 +1094,7 @@ mod tests {
     #[test]
     fn trace_export_and_summarize_consume_telemetry_jsonl() {
         let edges = demo_network_file();
-        let model = tmp("trace_model.json");
+        let model = tmp("trace_model.ddm");
         let jsonl = tmp("trace_telemetry.jsonl");
         run_words(&[
             "train",
@@ -1265,7 +1192,7 @@ mod tests {
     #[test]
     fn ingest_offline_replay_reports_state_and_scores() {
         let edges = demo_network_file();
-        let model = tmp("replay_model.json");
+        let model = tmp("replay_model.ddm");
         run_words(&["train", &edges, "--out", &model, "--dim", "8", "--iterations", "2000"])
             .unwrap();
         let log = tmp("replay_log.jsonl");
@@ -1294,7 +1221,7 @@ mod tests {
     #[test]
     fn ingest_streams_a_log_into_a_live_server_matching_offline_replay() {
         let edges = demo_network_file();
-        let model_path = tmp("ingest_model.json");
+        let model_path = tmp("ingest_model.ddm");
         run_words(&["train", &edges, "--out", &model_path, "--dim", "8", "--iterations", "2000"])
             .unwrap();
         let obs = Fanout::new().into_handle();

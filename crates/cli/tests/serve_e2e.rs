@@ -2,8 +2,9 @@
 //! train a model, start `dd serve` on an ephemeral port as a child process,
 //! hammer it from many client threads, check every served score bit-for-bit
 //! against the model loaded offline, then verify graceful SIGINT shutdown.
-//! A second test serves an exported binary `.ddm` and pins the cross-format
-//! contract live: same fingerprint, bit-identical scores. A streaming test
+//! A second test serves the `.ddm` that `dd train` wrote and pins the
+//! artifact contract live: the served fingerprint and scores are those of
+//! the same file loaded in process. A streaming test
 //! pipes a generated event log through `dd ingest --to` and byte-diffs the
 //! served fold-in score and state digest against an offline replay.
 //!
@@ -118,7 +119,7 @@ impl Drop for ChildGuard {
 #[test]
 fn serve_e2e_train_query_shutdown() {
     let edges = tmp("graph.edges");
-    let model_path = tmp("model.json");
+    let model_path = tmp("model.ddm");
     let telemetry = tmp("serve_telemetry.jsonl");
     let _ = std::fs::remove_file(&telemetry);
 
@@ -293,13 +294,12 @@ fn serve_e2e_train_query_shutdown() {
 }
 
 #[test]
-fn serve_e2e_binary_model_is_bit_identical_to_json() {
+fn serve_e2e_trained_ddm_is_bit_identical_to_offline_load() {
     let edges = tmp("graph_bin.edges");
-    let model_json = tmp("model_bin_src.json");
     let model_ddm = tmp("model_bin.ddm");
 
-    // Train a small JSON model and export it to the binary container with
-    // the binary itself: the artifact flow an operator follows.
+    // Train a small model with the binary itself and serve the file it
+    // wrote: the artifact flow an operator follows.
     let out = dd()
         .args(["generate", "twitter", "--scale", "250", "--out", &edges])
         .output()
@@ -310,7 +310,7 @@ fn serve_e2e_binary_model_is_bit_identical_to_json() {
             "train",
             &edges,
             "--out",
-            &model_json,
+            &model_ddm,
             "--dim",
             "8",
             "--iterations",
@@ -321,13 +321,8 @@ fn serve_e2e_binary_model_is_bit_identical_to_json() {
         .output()
         .expect("dd train runs");
     assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
-    let out = dd()
-        .args(["export", &model_json, "--out", &model_ddm, "--binary"])
-        .output()
-        .expect("dd export runs");
-    assert!(out.status.success(), "export failed: {}", String::from_utf8_lossy(&out.stderr));
 
-    // Serve the *binary* artifact.
+    // Serve the trained artifact.
     let mut child = dd()
         .args(["serve", &model_ddm, "--port", "0", "--workers", "2"])
         .stdout(Stdio::piped())
@@ -348,19 +343,18 @@ fn serve_e2e_binary_model_is_bit_identical_to_json() {
         }
     };
 
-    // Offline reference comes from the *JSON* artifact: every served score
-    // must be bit-identical across the format boundary.
-    let model = DirectionalityModel::load_from_path(&model_json).unwrap();
+    // Offline reference: the same file loaded in process. Every served
+    // score must be bit-identical to it.
+    let model = DirectionalityModel::load_from_path(&model_ddm).unwrap();
     let retry = client::RetryPolicy::default();
 
-    // /healthz must report the JSON model's content fingerprint — the
-    // container never leaks into model identity.
+    // /healthz must report the offline load's content fingerprint.
     let health = client::get_with_retry(&addr, "/healthz", &retry).unwrap();
     assert_eq!(health.status, 200);
     let expected_fp = format!("\"model_fingerprint\":\"{:016x}\"", model.fingerprint());
     assert!(
         health.body.contains(&expected_fp),
-        "healthz fingerprint differs from the JSON artifact's: {}",
+        "healthz fingerprint differs from the offline load's: {}",
         health.body
     );
 
@@ -372,17 +366,40 @@ fn serve_e2e_binary_model_is_bit_identical_to_json() {
         assert_eq!(
             parsed.score.unwrap().to_bits(),
             expected.to_bits(),
-            "binary-served score for ({src},{dst}) differs from the JSON-loaded model"
+            "served score for ({src},{dst}) differs from the offline-loaded model"
         );
     }
 
-    // Graceful SIGINT shutdown holds for binary-served processes too.
+    // Graceful SIGINT shutdown.
     let status =
         Command::new("kill").args(["-INT", &guard.pid().to_string()]).status().expect("kill runs");
     assert!(status.success());
     let exit = guard.0.as_mut().unwrap().wait().expect("server exits");
     assert!(exit.success(), "dd serve should exit cleanly on SIGINT, got {exit:?}");
     guard.0.take();
+}
+
+/// The JSON model files of earlier builds are refused by every command
+/// that reads a model, with the path and `bad magic`, before `dd serve`
+/// binds a port; and `dd export` is no longer a command.
+#[test]
+fn serve_e2e_json_models_and_export_are_refused() {
+    let model = tmp("old_model.json");
+    std::fs::write(&model, r#"{"schema":1,"ties":[[0,1]]}"#).unwrap();
+    for args in [
+        vec!["score", &model, "0", "1"],
+        vec!["predict", &model, "0", "1"],
+        vec!["ingest", &model, "--events", &model],
+        vec!["serve", &model, "--port", "0"],
+    ] {
+        let out = dd().args(&args).output().expect("dd runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "dd {args:?} accepted a JSON model");
+        assert!(stderr.contains(&model) && stderr.contains("bad magic"), "{args:?}: {stderr}");
+    }
+    let out = dd().args(["export", &model, "--out", &tmp("exported.ddm")]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 }
 
 /// Runs `dd` to completion and returns its stdout, failing on a non-zero
@@ -401,7 +418,7 @@ fn dd_stdout(args: &[&str]) -> String {
 #[test]
 fn serve_e2e_stream_ingest_matches_offline_replay() {
     let edges = tmp("graph_stream.edges");
-    let model_path = tmp("model_stream.json");
+    let model_path = tmp("model_stream.ddm");
     let events = tmp("events_stream.jsonl");
     dd_stdout(&["generate", "twitter", "--scale", "400", "--out", &edges]);
     dd_stdout(&[
@@ -517,8 +534,8 @@ fn serve_e2e_stream_ingest_matches_offline_replay() {
 #[test]
 fn serve_e2e_fleet_mode_routes_and_drains() {
     let edges = tmp("graph_fleet.edges");
-    let model_path = tmp("model_fleet.json");
-    let next_path = tmp("model_fleet_next.json");
+    let model_path = tmp("model_fleet.ddm");
+    let next_path = tmp("model_fleet_next.ddm");
 
     let out = dd()
         .args(["generate", "twitter", "--scale", "300", "--out", &edges])
@@ -607,9 +624,8 @@ fn serve_e2e_fleet_mode_routes_and_drains() {
     );
     assert_prometheus_exposition(&metrics.body);
 
-    // Router hot reload to a second model: both shards report the
-    // fingerprint `dd export` prints for it, at generation 2, and routed
-    // scores follow the new model.
+    // Router hot reload to a second model: both shards report its
+    // fingerprint at generation 2, and routed scores follow the new model.
     let out = dd()
         .args([
             "train",
@@ -626,14 +642,8 @@ fn serve_e2e_fleet_mode_routes_and_drains() {
         .output()
         .expect("dd train runs");
     assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
-    let out = dd()
-        .args(["export", &next_path, "--out", &tmp("model_fleet_next.ddm"), "--binary"])
-        .output()
-        .expect("dd export runs");
-    assert!(out.status.success(), "export failed: {}", String::from_utf8_lossy(&out.stderr));
-    let export_line = String::from_utf8_lossy(&out.stdout).to_string();
-    let (_, after) = export_line.split_once("fingerprint ").expect("export prints its fingerprint");
-    let next_fp: String = after.chars().take(16).collect();
+    let next = DirectionalityModel::load_from_path(&next_path).unwrap();
+    let next_fp = format!("{:016x}", next.fingerprint());
     assert_ne!(next_fp, fp, "the second model must differ from the first");
     let reload = format!("{{\"path\":{}}}", serde_json::to_string(&next_path).unwrap());
     let resp = client::post(&addr, "/admin/reload", &reload).unwrap();
@@ -646,7 +656,6 @@ fn serve_e2e_fleet_mode_routes_and_drains() {
         assert_eq!(shard.fingerprint.as_deref(), Some(next_fp.as_str()), "{shard:?}");
         assert_eq!(shard.generation, Some(2), "{shard:?}");
     }
-    let next = DirectionalityModel::load_from_path(&next_path).unwrap();
     let &(src, dst) = next.ties().first().expect("a trained tie");
     let score_path = format!("/score?src={src}&dst={dst}");
     let resp = client::get(&addr, &score_path).unwrap();

@@ -35,7 +35,7 @@ fn train_telemetry_exports_a_closed_chrome_trace() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = |name: &str| dir.join(name).to_string_lossy().to_string();
     let (graph, model, jsonl, chrome) =
-        (path("graph.edges"), path("model.json"), path("telemetry.jsonl"), path("trace.json"));
+        (path("graph.edges"), path("model.ddm"), path("telemetry.jsonl"), path("trace.json"));
 
     dd(&["generate", "twitter", "--scale", "300", "--out", &graph]);
     dd(&[

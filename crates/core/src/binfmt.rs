@@ -35,7 +35,7 @@ use dd_linalg::bytes::{self, AlignedBuf, BLOCK_ALIGN};
 use serde::{Deserialize, Serialize};
 
 use crate::config::DeepDirectConfig;
-use crate::dstep::DirectionalityHead;
+use crate::dstep::{self, DirectionalityHead};
 use crate::model::MODEL_SCHEMA_VERSION;
 use crate::store::{align_up, TieStore};
 
@@ -259,12 +259,6 @@ struct Entry {
     len: u64,
 }
 
-/// Whether `bytes` begins with the binary model magic — the format sniff
-/// used by the unified loader.
-pub fn is_binary(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
-}
-
 /// Everything [`decode`] extracts from a validated buffer.
 pub(crate) struct DecodedModel {
     pub cfg: DeepDirectConfig,
@@ -292,15 +286,18 @@ type SectionRanges = (Range<usize>, Range<usize>, Range<usize>, Range<usize>, Op
 /// and payload checksums. Returns the byte range of each section. Runs
 /// before any endianness fixup because every check is over raw LE bytes.
 fn validate_structure(bytes: &[u8]) -> Result<SectionRanges, BinaryFormatError> {
+    // The magic comes first, so a short file that is not a `.ddm` (a small
+    // JSON document, say) is named as such rather than as truncated.
+    let lead = bytes.len().min(MAGIC.len());
+    if bytes[..lead] != MAGIC[..lead] {
+        return Err(BinaryFormatError::BadMagic);
+    }
     if bytes.len() < HEADER_LEN {
         return Err(BinaryFormatError::Truncated {
             what: "header",
             needed: HEADER_LEN,
             got: bytes.len(),
         });
-    }
-    if !is_binary(bytes) {
-        return Err(BinaryFormatError::BadMagic);
     }
     let version = read_u32(bytes, 8);
     if version != FORMAT_VERSION {
@@ -441,6 +438,23 @@ pub(crate) fn decode(mut buf: AlignedBuf) -> Result<DecodedModel, BinaryFormatEr
     }
     let rows = meta.rows as usize;
     let dim = meta.dim as usize;
+    // The config and head must describe the blocks they travel with: fold-in
+    // sizes its features from the config, and scoring dots the head's
+    // weights against the rows.
+    let head_features = match &meta.head {
+        DirectionalityHead::Logistic(lr) => lr.w.len(),
+        DirectionalityHead::Mlp(mlp) => mlp.input_dim(),
+    };
+    if meta.cfg.dim != dim
+        || meta.cfg.context_features != meta.context
+        || head_features != dstep::feature_dim(&meta.cfg)
+    {
+        return Err(BinaryFormatError::Meta(format!(
+            "config (dim {}, context {}) and head ({head_features} features) disagree with \
+             the declared blocks (dim {dim}, context {})",
+            meta.cfg.dim, meta.cfg.context_features, meta.context
+        )));
+    }
 
     // The payloads are little-endian on disk; flip each aligned word once on
     // big-endian targets (checksums were verified over the raw bytes above).

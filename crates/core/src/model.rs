@@ -8,10 +8,8 @@ use dd_graph::hash::FxHashMap;
 use dd_graph::{MixedSocialNetwork, NodeId};
 use dd_linalg::bytes::{fnv1a64, AlignedBuf, FNV64_SEED};
 use dd_linalg::kernels::dot8_f64;
-use dd_linalg::matrix::DenseMatrix;
 use dd_linalg::rng::Pcg32;
 use dd_linalg::sigmoid64;
-use serde::{Deserialize, Serialize};
 
 use crate::binfmt;
 use crate::config::DeepDirectConfig;
@@ -127,10 +125,10 @@ impl DeepDirect {
     }
 }
 
-/// Version stamped into every saved model file; bump on breaking changes to
-/// the on-disk snapshot layout. [`DirectionalityModel::load`] refuses files
-/// with a different version instead of failing with a field-level serde
-/// error deep inside the payload.
+/// Model schema version stamped into every `.ddm` header and meta section;
+/// bump when the meaning of stored values changes. [`DirectionalityModel::load`]
+/// refuses files with a different version instead of failing with a
+/// field-level serde error deep inside the meta section.
 pub const MODEL_SCHEMA_VERSION: u32 = 1;
 
 /// A learned directionality function `d : E → [0, 1]` with the tie
@@ -152,7 +150,7 @@ pub struct DirectionalityModel {
     /// contiguous cache-aligned rows the scoring kernels stream directly.
     store: TieStore,
     /// Content fingerprint over shapes, ties, blocks and head parameters —
-    /// stable across save/load round-trips of both formats within one
+    /// stable across `.ddm` save/load round-trips within one
     /// build/architecture. Namespaces the serve-side score cache.
     fingerprint: u64,
     head: DirectionalityHead,
@@ -179,22 +177,6 @@ fn fingerprint_of(store: &TieStore, ties: &[(u32, u32)], head: &DirectionalityHe
         Ok(js) => fnv1a64(js.as_bytes(), h),
         Err(_) => h,
     }
-}
-
-/// Serializable snapshot of a [`DirectionalityModel`].
-#[derive(Serialize, Deserialize)]
-struct ModelSnapshot {
-    schema: u32,
-    cfg: DeepDirectConfig,
-    ties: Vec<(u32, u32)>,
-    embeddings: DenseMatrix,
-    contexts: Option<DenseMatrix>,
-    head: DirectionalityHead,
-    estep_iterations: u64,
-    #[serde(skip)]
-    estep_seconds: f64,
-    #[serde(skip)]
-    estep_iters_per_sec: f64,
 }
 
 impl DirectionalityModel {
@@ -318,44 +300,18 @@ impl DirectionalityModel {
         }
     }
 
-    /// Serializes the model as JSON (the portable interchange format).
-    pub fn save<W: Write>(&self, w: W) -> Result<(), String> {
-        let dim = self.store.dim();
-        let rows = self.store.rows();
-        let snap = ModelSnapshot {
-            schema: MODEL_SCHEMA_VERSION,
-            cfg: self.cfg.clone(),
-            ties: self.ties.clone(),
-            embeddings: DenseMatrix::from_fn(rows, dim, |r, c| self.store.embedding_row(r)[c]),
-            contexts: self.store.has_contexts().then(|| {
-                DenseMatrix::from_fn(rows, dim, |r, c| {
-                    self.store.context_row(r).map_or(0.0, |x| x[c])
-                })
-            }),
-            head: self.head.clone(),
-            estep_iterations: self.estep_iterations,
-            estep_seconds: 0.0,
-            estep_iters_per_sec: 0.0,
-        };
-        serde_json::to_writer(w, &snap).map_err(|e| e.to_string())
-    }
-
-    /// Saves the model to a file (JSON).
-    pub fn save_to_path<P: AsRef<Path>>(&self, path: P) -> Result<(), String> {
-        let f = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        self.save(std::io::BufWriter::new(f))
-    }
-
-    /// Serializes the model in the binary container format (DESIGN.md
-    /// §7.13): little-endian, checksummed sections, 64-byte-aligned blocks.
+    /// Serializes the model as a `.ddm` container (DESIGN.md §7.13):
+    /// little-endian, checksummed sections, 64-byte-aligned blocks.
     pub fn save_binary<W: Write>(&self, w: W) -> Result<(), String> {
         binfmt::encode(w, &self.cfg, &self.head, self.estep_iterations, &self.ties, &self.store)
     }
 
-    /// Saves the model to a file in the binary container format.
+    /// Saves the model to a `.ddm` file.
     pub fn save_binary_to_path<P: AsRef<Path>>(&self, path: P) -> Result<(), String> {
+        // No `BufWriter`: the encoder writes the whole file in one
+        // `write_all`, and a dropped `BufWriter` would swallow a failed flush.
         let f = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        self.save_binary(std::io::BufWriter::new(f))
+        self.save_binary(f)
     }
 
     /// Builds a model from a validated binary buffer (zero-copy adoption of
@@ -381,85 +337,18 @@ impl DirectionalityModel {
         })
     }
 
-    /// Deserializes a model saved with [`Self::save`] or
-    /// [`Self::save_binary`] — the format is sniffed from the magic bytes.
-    ///
-    /// JSON failures carry a schema-version message (rather than a
-    /// field-level serde error) when the file is not a model file at all,
-    /// predates schema versioning, or was written by a newer build; binary
-    /// failures name the offending section.
+    /// Deserializes a model saved with [`Self::save_binary`]. Any other
+    /// input, an old JSON model included, fails with a typed
+    /// [`binfmt::BinaryFormatError`] naming the offending section or region.
     pub fn load<R: Read>(mut r: R) -> Result<Self, String> {
         let mut raw = Vec::new();
         r.read_to_end(&mut raw).map_err(|e| format!("reading model: {e}"))?;
-        if binfmt::is_binary(&raw) {
-            return Self::load_binary_buf(AlignedBuf::from_slice(&raw));
-        }
-        let text = String::from_utf8(raw)
-            .map_err(|e| format!("reading model: stream did not contain valid UTF-8 ({e})"))?;
-        let value: serde_json::Value = serde_json::from_str(&text)
-            .map_err(|e| format!("not a DeepDirect model file (invalid JSON: {e})"))?;
-        let schema = match value.get("schema") {
-            None => {
-                return Err(format!(
-                    "not a DeepDirect model file: missing `schema` version field \
-                     (expected schema {MODEL_SCHEMA_VERSION}; files saved by pre-release \
-                     builds must be re-trained)"
-                ))
-            }
-            Some(v) => v.as_u64().ok_or_else(|| {
-                format!("model `schema` field must be an integer, found {}", v.kind())
-            })?,
-        };
-        if schema != u64::from(MODEL_SCHEMA_VERSION) {
-            let hint = if schema > u64::from(MODEL_SCHEMA_VERSION) {
-                "the file was saved by a newer build — upgrade dd"
-            } else {
-                "re-train to produce a current model file"
-            };
-            return Err(format!(
-                "unsupported model schema version {schema} (this build reads schema \
-                 {MODEL_SCHEMA_VERSION}; {hint})"
-            ));
-        }
-        let snap: ModelSnapshot = serde_json::from_value(&value)
-            .map_err(|e| format!("corrupt model file (schema {schema}): {e}"))?;
-        if snap.embeddings.rows() != snap.ties.len() {
-            return Err(format!(
-                "corrupt model file (schema {schema}): {} embedding rows for {} ties",
-                snap.embeddings.rows(),
-                snap.ties.len()
-            ));
-        }
-        let store = TieStore::from_parts(
-            snap.embeddings.cols(),
-            snap.embeddings.rows(),
-            snap.embeddings.as_slice(),
-            snap.contexts.as_ref().map(|c| c.as_slice()),
-        )
-        .map_err(|e| format!("corrupt model file (schema {schema}): {e}"))?;
-        let mut pair_index = FxHashMap::default();
-        pair_index.reserve(snap.ties.len());
-        for (i, &(u, v)) in snap.ties.iter().enumerate() {
-            pair_index.insert((u, v), i as u32);
-        }
-        let fingerprint = fingerprint_of(&store, &snap.ties, &snap.head);
-        Ok(DirectionalityModel {
-            cfg: snap.cfg,
-            ties: snap.ties,
-            pair_index,
-            store,
-            fingerprint,
-            head: snap.head,
-            estep_iterations: snap.estep_iterations,
-            estep_seconds: snap.estep_seconds,
-            estep_iters_per_sec: snap.estep_iters_per_sec,
-        })
+        Self::load_binary_buf(AlignedBuf::from_slice(&raw))
     }
 
-    /// Loads a model from a file, sniffing JSON vs binary from the magic
-    /// bytes. The binary path is read-once: the file lands directly in a
-    /// 64-byte-aligned buffer whose embedding blocks the model borrows
-    /// zero-copy. Errors name the offending path.
+    /// Loads a `.ddm` model from a file. The read is one pass: the file
+    /// lands directly in a 64-byte-aligned buffer whose embedding blocks the
+    /// model borrows zero-copy. Errors name the offending path.
     pub fn load_from_path<P: AsRef<Path>>(path: P) -> Result<Self, String> {
         let path = path.as_ref();
         let wrap = |e: String| format!("loading model '{}': {e}", path.display());
@@ -470,10 +359,7 @@ impl DirectionalityModel {
         let len = usize::try_from(len).map_err(|e| wrap(format!("file too large: {e}")))?;
         let buf = AlignedBuf::read_exact_from(&mut f, len)
             .map_err(|e| wrap(format!("reading model: {e}")))?;
-        if binfmt::is_binary(buf.as_bytes()) {
-            return Self::load_binary_buf(buf).map_err(wrap);
-        }
-        Self::load(buf.as_bytes()).map_err(wrap)
+        Self::load_binary_buf(buf).map_err(wrap)
     }
 }
 
@@ -526,15 +412,14 @@ mod tests {
     #[test]
     fn save_load_roundtrip_preserves_scores() {
         let (g, model) = fit_small(3);
-        let mut buf = Vec::new();
-        model.save(&mut buf).unwrap();
-        let loaded = DirectionalityModel::load(buf.as_slice()).unwrap();
-        for (_, t) in g.iter_ties().take(50) {
-            let a = model.score(t.src, t.dst).unwrap();
-            let b = loaded.score(t.src, t.dst).unwrap();
-            assert!((a - b).abs() < 1e-12);
-        }
+        let path = std::env::temp_dir().join(format!("dd_model_rt_{}.ddm", std::process::id()));
+        model.save_binary_to_path(&path).unwrap();
+        let loaded = DirectionalityModel::load_from_path(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
         assert_eq!(loaded.config().dim, model.config().dim);
+        for (_, t) in g.iter_ties().take(50) {
+            assert_eq!(model.score(t.src, t.dst), loaded.score(t.src, t.dst));
+        }
     }
 
     #[test]
@@ -542,8 +427,8 @@ mod tests {
         let (g, model) = fit_small(6);
         let mut bin = Vec::new();
         model.save_binary(&mut bin).unwrap();
-        assert!(crate::binfmt::is_binary(&bin));
-        // `load` sniffs the format from the magic bytes.
+        // The loader knows the file by its magic bytes, and only by them.
+        assert!(bin.starts_with(&binfmt::MAGIC));
         let loaded = DirectionalityModel::load(bin.as_slice()).unwrap();
         assert_eq!(loaded.n_ties(), model.n_ties());
         assert_eq!(loaded.dim(), model.dim());
@@ -553,10 +438,6 @@ mod tests {
             let b = loaded.score(t.src, t.dst).unwrap();
             assert_eq!(a.to_bits(), b.to_bits(), "binary-loaded score diverged");
         }
-        // Binary is the compact format.
-        let mut json = Vec::new();
-        model.save(&mut json).unwrap();
-        assert!(bin.len() < json.len(), "binary {} >= json {}", bin.len(), json.len());
     }
 
     #[test]
@@ -600,11 +481,11 @@ mod tests {
         // Truncated header.
         let err = decode(&valid[..10]).unwrap_err();
         assert!(err.contains("truncated header"), "{err}");
-        // Wrong magic falls through to the JSON sniff and fails as JSON.
+        // Wrong magic.
         let mut bad = valid.clone();
         bad[0] = b'X';
-        let err = DirectionalityModel::load(&bad[..]).unwrap_err();
-        assert!(err.contains("not a DeepDirect model file") || err.contains("UTF-8"), "{err}");
+        let err = decode(&bad).unwrap_err();
+        assert!(err.contains("bad magic"), "{err}");
         // Future container version.
         let mut bad = valid.clone();
         bad[8..12].copy_from_slice(&9u32.to_le_bytes());
@@ -669,49 +550,73 @@ mod tests {
 
     #[test]
     fn load_rejects_corrupt_and_mismatched_schema_files() {
-        // Invalid JSON.
-        let err = DirectionalityModel::load("{not json".as_bytes()).unwrap_err();
-        assert!(err.contains("invalid JSON"), "{err}");
-        // Valid JSON, but no schema field (pre-release or foreign file).
-        let err = DirectionalityModel::load(r#"{"cfg":{}}"#.as_bytes()).unwrap_err();
-        assert!(err.contains("missing `schema`"), "{err}");
-        // Non-integer schema.
-        let err = DirectionalityModel::load(r#"{"schema":"v1"}"#.as_bytes()).unwrap_err();
-        assert!(err.contains("must be an integer"), "{err}");
-        // Future-versioned file.
-        let err = DirectionalityModel::load(r#"{"schema":99}"#.as_bytes()).unwrap_err();
+        // JSON documents, the model format of earlier builds among them, are
+        // not `.ddm` containers: each fails on the magic, whatever its shape.
+        for doc in ["{not json", r#"{"cfg":{}}"#, r#"{"schema":"v1"}"#, r#"{"schema":1,"ties":[]}"#]
+        {
+            let err = DirectionalityModel::load(doc.as_bytes()).unwrap_err();
+            assert!(err.contains("bad magic"), "{doc}: {err}");
+        }
+        // A container from a future schema is refused by version.
+        let (_, model) = fit_small(8);
+        let mut bad = Vec::new();
+        model.save_binary(&mut bad).unwrap();
+        bad[12..16].copy_from_slice(&99u32.to_le_bytes());
+        let err = DirectionalityModel::load(bad.as_slice()).unwrap_err();
         assert!(err.contains("unsupported model schema version 99"), "{err}");
-        assert!(err.contains("upgrade"), "{err}");
-        // Right schema, corrupt payload: the error names the schema, not a
-        // bare serde message.
-        let err = DirectionalityModel::load(r#"{"schema":1,"ties":42}"#.as_bytes()).unwrap_err();
-        assert!(err.contains("corrupt model file (schema 1)"), "{err}");
     }
 
     #[test]
     fn load_from_path_errors_name_the_path() {
-        let err = DirectionalityModel::load_from_path("/nonexistent/model.json").unwrap_err();
-        assert!(err.contains("/nonexistent/model.json"), "{err}");
+        let err = DirectionalityModel::load_from_path("/nonexistent/model.ddm").unwrap_err();
+        assert!(err.contains("/nonexistent/model.ddm"), "{err}");
         let dir = std::env::temp_dir().join("dd_model_tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("junk.json");
-        std::fs::write(&path, "{\"schema\":99}").unwrap();
+        let path = dir.join("old_model.json");
+        std::fs::write(&path, r#"{"schema":1,"ties":[]}"#).unwrap();
         let err = DirectionalityModel::load_from_path(&path).unwrap_err();
-        assert!(err.contains("junk.json"), "{err}");
-        assert!(err.contains("unsupported model schema version"), "{err}");
+        assert!(err.contains("old_model.json"), "{err}");
+        assert!(err.contains("bad magic"), "{err}");
     }
 
     #[test]
     fn saved_models_carry_the_current_schema_version() {
         let (_, model) = fit_small(5);
         let mut buf = Vec::new();
-        model.save(&mut buf).unwrap();
-        let value: serde_json::Value = serde_json::from_str(std::str::from_utf8(&buf).unwrap())
-            .expect("saved model is valid JSON");
+        model.save_binary(&mut buf).unwrap();
+        assert_eq!(buf[12..16], MODEL_SCHEMA_VERSION.to_le_bytes(), "header schema");
+        // The meta section (kind 1) repeats it.
+        let meta = binfmt::HEADER_LEN..binfmt::HEADER_LEN + binfmt::ENTRY_LEN;
+        let entry = &buf[meta];
+        assert_eq!(u32::from_le_bytes(entry[..4].try_into().unwrap()), binfmt::section::META);
+        let off = u64::from_le_bytes(entry[8..16].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(entry[16..24].try_into().unwrap()) as usize;
+        let value: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(&buf[off..off + len]).unwrap())
+                .expect("meta is valid JSON");
         assert_eq!(
             value.get("schema").and_then(|v| v.as_u64()),
             Some(u64::from(MODEL_SCHEMA_VERSION))
         );
+    }
+
+    /// `save_binary_to_path` reports a write that fails. The container is
+    /// under 8 KiB, so a `BufWriter` would hold all of it and lose the
+    /// error of the flush in its `Drop`.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_binary_to_path_reports_a_full_disk() {
+        let gen_cfg = SocialNetConfig { n_nodes: 12, ..Default::default() };
+        let mut grng = StdRng::seed_from_u64(21);
+        let net = social_network(&gen_cfg, &mut grng).network;
+        let cfg =
+            DeepDirectConfig { dim: 2, max_iterations: Some(200), ..DeepDirectConfig::default() };
+        let model = DeepDirect::new(cfg).fit(&net);
+        let mut bytes = Vec::new();
+        model.save_binary(&mut bytes).unwrap();
+        assert!(bytes.len() < 8 * 1024, "container is {} bytes", bytes.len());
+        let err = model.save_binary_to_path("/dev/full").unwrap_err();
+        assert!(!err.is_empty());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! block) as contiguous `f32` rows inside one 64-byte-aligned allocation,
 //! so the scoring hot path streams cache-resident rows straight into the
 //! unrolled kernels of [`dd_linalg::kernels`]. It is built by copying
-//! (training, JSON load) or adopted zero-copy from a validated binary model
-//! buffer (the block stays where the file bytes were read).
+//! (training) or adopted zero-copy from a validated `.ddm` buffer (the
+//! block stays where the file bytes were read).
 
 use dd_linalg::bytes::{self, AlignedBuf, BLOCK_ALIGN};
 

@@ -1,15 +1,21 @@
-//! Fuzz-style hostile-input sweep for the binary model loader — the mirror
-//! of the corrupt-JSON suite in `dd-serve`'s http_chaos tests.
+//! Fuzz-style hostile-input sweeps for the `.ddm` model loader.
 //!
 //! 2000 seeded corruptions of a valid `.ddm` go through the loader. The
 //! contract: every buffer that still differs from the pristine file must
 //! produce a typed `Err` naming the offending section or structural region
 //! — and nothing may panic. (A few strategies can no-op — e.g. a byte flip
 //! writing the byte already there — those must load and score identically.)
+//!
+//! A second sweep corrupts only the JSON of the `meta` section, the one
+//! JSON document the loader parses, and rebuilds a container whose
+//! checksums and offsets are all valid, so only the meta parse and the
+//! shape checks stand between the corruption and a loaded model.
 
 use dd_graph::generators::{social_network, SocialNetConfig};
+use dd_linalg::bytes::{crc32, BLOCK_ALIGN};
 use dd_linalg::Pcg32;
-use dd_testkit::gen::corrupt_binary;
+use dd_testkit::gen::{corrupt_binary, corrupt_json};
+use deepdirect::binfmt::{section, ENTRY_LEN, HEADER_LEN};
 use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,10 +37,6 @@ const KNOWN_REGIONS: &[&str] = &[
     "unknown section",
     "trailing bytes",
     "reading model",
-    // Wrong-magic buffers fall through to the JSON sniff, whose errors are
-    // typed too.
-    "not a DeepDirect model file",
-    "UTF-8",
 ];
 
 fn valid_container() -> (DirectionalityModel, Vec<u8>) {
@@ -99,5 +101,119 @@ fn loader_rejects_short_and_empty_buffers() {
             KNOWN_REGIONS.iter().any(|r| err.contains(r)),
             "short buffer error is vague: {err}"
         );
+    }
+}
+
+fn read_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// The sections of a valid container as `(kind, payload)`, in table order.
+fn sections(valid: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    (0..read_u32(valid, 16) as usize)
+        .map(|i| {
+            let e = HEADER_LEN + i * ENTRY_LEN;
+            let (off, len) = (read_u64(valid, e + 8) as usize, read_u64(valid, e + 16) as usize);
+            (read_u32(valid, e), valid[off..off + len].to_vec())
+        })
+        .collect()
+}
+
+/// Lays `sections` out as a container the way the encoder does (DESIGN.md
+/// §7.13): meta right after the table, numeric sections on 64-byte
+/// boundaries, every section CRC and the table CRC recomputed.
+fn assemble(valid: &[u8], sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let table_end = HEADER_LEN + sections.len() * ENTRY_LEN;
+    let mut cursor = table_end;
+    let mut table = Vec::new();
+    let mut offsets = Vec::new();
+    for (kind, payload) in sections {
+        if *kind != section::META {
+            cursor = cursor.div_ceil(BLOCK_ALIGN) * BLOCK_ALIGN;
+        }
+        offsets.push(cursor);
+        table.extend_from_slice(&kind.to_le_bytes());
+        table.extend_from_slice(&crc32(payload).to_le_bytes());
+        table.extend_from_slice(&(cursor as u64).to_le_bytes());
+        table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        cursor += payload.len();
+    }
+    let mut out = valid[..20].to_vec();
+    out.extend_from_slice(&crc32(&table).to_le_bytes());
+    out.extend_from_slice(&table);
+    for ((_, payload), off) in sections.iter().zip(offsets) {
+        out.resize(off, 0);
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+#[test]
+fn loader_survives_2000_corrupt_meta_sections_with_typed_errors() {
+    let (model, valid) = valid_container();
+    let parts = sections(&valid);
+    assert_eq!(assemble(&valid, &parts), valid, "reassembly must be the identity");
+    let meta_at = parts.iter().position(|(k, _)| *k == section::META).expect("a meta section");
+    let meta = String::from_utf8(parts[meta_at].1.clone()).expect("meta is UTF-8 JSON");
+
+    // Only the meta parse and the shape checks may reject these files, so
+    // every error must name one of them.
+    const META_OR_SHAPE: &[&str] =
+        &["'meta'", "'tie.src'", "'tie.dst'", "'embeddings'", "'contexts'", "schema version"];
+    let mut n_err = 0usize;
+    for seed in 0..2000u64 {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let mut mangled = parts.clone();
+        mangled[meta_at].1 = corrupt_json(&mut rng, &meta);
+        match DirectionalityModel::load(assemble(&valid, &mangled).as_slice()) {
+            Err(e) => {
+                n_err += 1;
+                assert!(
+                    META_OR_SHAPE.iter().any(|r| e.contains(r)),
+                    "seed {seed}: error names neither meta nor a shape check: {e}"
+                );
+            }
+            Ok(loaded) => {
+                // A corruption the parser accepts (e.g. whitespace, or a
+                // changed training counter) still yields a usable model.
+                assert_eq!(loaded.n_ties(), model.n_ties(), "seed {seed}");
+                for row in 0..loaded.n_ties() {
+                    let d = loaded.score_row(row);
+                    assert!((0.0..=1.0).contains(&d), "seed {seed}: row {row} scores {d}");
+                }
+            }
+        }
+    }
+    assert!(n_err >= 1800, "expected ≥1800 rejections out of 2000, got {n_err}");
+}
+
+/// Meta JSON that parses but describes other blocks is a typed error, not a
+/// model whose scoring or fold-in would later slice out of bounds.
+#[test]
+fn loader_rejects_meta_that_disagrees_with_the_blocks() {
+    let (_, valid) = valid_container();
+    let parts = sections(&valid);
+    let meta_at = parts.iter().position(|(k, _)| *k == section::META).unwrap();
+    let meta = String::from_utf8(parts[meta_at].1.clone()).unwrap();
+    // The config block repeats the top-level `"dim":12`; the second one is
+    // the config's.
+    let cfg_dim = meta.match_indices("\"dim\":12").nth(1).expect("a config dim").0;
+    let edits = [
+        ("config dim", format!("{}\"dim\":13{}", &meta[..cfg_dim], &meta[cfg_dim + 8..])),
+        ("context flag", meta.replace("\"context_features\":false", "\"context_features\":true")),
+        ("head width", meta.replacen("\"w\":[", "\"w\":[0.5,", 1)),
+    ];
+    for (what, edited) in edits {
+        assert_ne!(edited, meta, "{what}: the edit must change the meta");
+        let mut mangled = parts.clone();
+        mangled[meta_at].1 = edited.into_bytes();
+        let err = DirectionalityModel::load(assemble(&valid, &mangled).as_slice())
+            .err()
+            .unwrap_or_else(|| panic!("{what}: a mismatched meta loaded"));
+        assert!(err.contains("'meta'") && err.contains("disagree"), "{what}: {err}");
     }
 }

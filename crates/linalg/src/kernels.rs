@@ -11,9 +11,9 @@
 //!
 //! # Bit-compatibility policy
 //!
-//! Scores must be **bit-identical** regardless of how a model was loaded
-//! (JSON or binary), how its buffers happen to be aligned, and how many
-//! threads are scoring. That holds because:
+//! Scores must be **bit-identical** whether a model was fitted in process or
+//! loaded from its `.ddm`, however its buffers happen to be aligned, and
+//! however many threads are scoring. That holds because:
 //!
 //! * every `f32 × f32` product is computed in `f64`, which represents the
 //!   product exactly (24-bit mantissas multiply into ≤ 48 bits ≪ 53);

@@ -304,6 +304,64 @@ mod tests {
         assert!((p - 0.7).abs() < 0.05, "p = {p}");
     }
 
+    /// The D-Step's update is the gradient of the objective it claims:
+    /// `(θ − θ') / lr` after one `sgd_step` equals a central difference, in
+    /// f64, of `sw·CE(σ(w·x + b), y) + (l2/2)·‖w‖²` for every `w_i` and for
+    /// `b` (which carries no L2 term).
+    ///
+    /// Tolerance: `1e-4·(1 + |fd|)`. The step runs in f32, and the power-of-
+    /// two `lr` makes the division exact, so the recovered gradient is off
+    /// by a few f32 ulps of `θ` over `lr` (≈ 1e-6 here). The f64 difference
+    /// with `h = 1e-6` is good to ≈ 1e-9. A missing `sw`, an L2 term on
+    /// `b`, or a halved L2 term on `w` each fails it by more than 5e-3.
+    #[test]
+    fn sgd_step_matches_finite_difference_of_the_weighted_l2_objective() {
+        const DIM: usize = 8;
+        let objective = |w: &[f64], b: f64, x: &[f32], y: f64, sw: f64, l2: f64| -> f64 {
+            let z: f64 = w.iter().zip(x).map(|(wi, &xi)| wi * f64::from(xi)).sum::<f64>() + b;
+            let p = crate::activations::sigmoid64(z);
+            sw * cross_entropy(y, p) + 0.5 * l2 * w.iter().map(|wi| wi * wi).sum::<f64>()
+        };
+        let lr = 0.25f32;
+        let h = 1e-6f64;
+        for seed in 0..200u64 {
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let mut unit = || rng.next_f32() * 2.0 - 1.0;
+            let x: Vec<f32> = (0..DIM).map(|_| unit()).collect();
+            let model = LogisticRegression::from_params((0..DIM).map(|_| unit()).collect(), unit());
+            let y = (unit() + 1.0) / 2.0;
+            let sw = 0.1 + 1.45 * (unit() + 1.0);
+            let l2 = 0.05 * (unit() + 1.0);
+
+            let mut stepped = model.clone();
+            stepped.sgd_step(&x, y, sw, lr, l2);
+
+            let w64: Vec<f64> = model.w.iter().map(|&v| f64::from(v)).collect();
+            let b64 = f64::from(model.b);
+            let (y, sw, l2) = (f64::from(y), f64::from(sw), f64::from(l2));
+            let check = |what: String, analytic: f32, fd: f64| {
+                let err = (f64::from(analytic) - fd).abs();
+                assert!(
+                    err <= 1e-4 * (1.0 + fd.abs()),
+                    "seed {seed}: {what}: update {analytic} vs finite difference {fd}"
+                );
+            };
+            for i in 0..DIM {
+                let (mut plus, mut minus) = (w64.clone(), w64.clone());
+                plus[i] += h;
+                minus[i] -= h;
+                let fd = (objective(&plus, b64, &x, y, sw, l2)
+                    - objective(&minus, b64, &x, y, sw, l2))
+                    / (2.0 * h);
+                check(format!("w[{i}]"), (model.w[i] - stepped.w[i]) / lr, fd);
+            }
+            let fd = (objective(&w64, b64 + h, &x, y, sw, l2)
+                - objective(&w64, b64 - h, &x, y, sw, l2))
+                / (2.0 * h);
+            check("b".to_string(), (model.b - stepped.b) / lr, fd);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "empty training set")]
     fn rejects_empty_dataset() {

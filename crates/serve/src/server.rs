@@ -286,7 +286,7 @@ pub struct HealthResponse {
     /// Model artifact schema version the server was built against.
     pub model_schema: u32,
     /// Content fingerprint of the served model (16 lowercase hex digits);
-    /// identical whether the model was loaded from JSON or `.ddm`.
+    /// identical to the fitted model's and to every reload of its `.ddm`.
     pub model_fingerprint: String,
     /// Reload generation: 1 for the model the process started with,
     /// incremented by every successful `POST /admin/reload`.
@@ -326,7 +326,7 @@ pub struct ScoreResponse {
 /// `POST /admin/reload` request body.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct ReloadRequest {
-    /// Path to the new model artifact (JSON or binary `.ddm`, sniffed).
+    /// Path to the new `.ddm` model artifact.
     pub path: String,
 }
 

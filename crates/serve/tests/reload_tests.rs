@@ -49,21 +49,13 @@ fn concurrent_load_across_three_reloads_never_fails_and_stays_bit_exact() {
         models.iter().map(|m| (format!("{:016x}", m.fingerprint()), m)).collect();
     assert_eq!(by_fingerprint.len(), 4, "training seeds must produce distinct fingerprints");
 
-    // Artifacts for generations 2..4, alternating JSON and binary so the
-    // reload path exercises the format sniffer too.
+    // `.ddm` artifacts for generations 2..4.
     let dir = std::env::temp_dir().join(format!("dd_reload_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut artifacts = Vec::new();
     for (i, m) in models.iter().enumerate().skip(1) {
-        let path = if i % 2 == 0 {
-            let p = dir.join(format!("gen{i}.json"));
-            m.save_to_path(&p).unwrap();
-            p
-        } else {
-            let p = dir.join(format!("gen{i}.ddm"));
-            m.save_binary_to_path(&p).unwrap();
-            p
-        };
+        let path = dir.join(format!("gen{i}.ddm"));
+        m.save_binary_to_path(&path).unwrap();
         artifacts.push(path);
     }
 
@@ -167,9 +159,23 @@ fn reload_error_paths_reject_without_disturbing_the_served_model() {
     let addr = handle.addr().to_string();
     let fingerprint = format!("{:016x}", model.fingerprint());
 
-    // Nonexistent artifact, malformed body, wrong method.
-    let resp = client::post(&addr, "/admin/reload", "{\"path\":\"/no/such/model.json\"}").unwrap();
+    // Nonexistent artifact, a JSON model (the format of earlier builds),
+    // malformed body, wrong method.
+    let resp = client::post(&addr, "/admin/reload", "{\"path\":\"/no/such/model.ddm\"}").unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
+    let dir = std::env::temp_dir().join(format!("dd_reload_err_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let json_model = dir.join("old_model.json").display().to_string();
+    std::fs::write(&json_model, "{\"schema\":1,\"ties\":[[0,1]]}").unwrap();
+    let body = format!("{{\"path\":{}}}", serde_json::to_string(&json_model).unwrap());
+    let resp = client::post(&addr, "/admin/reload", &body).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(
+        resp.body.contains("old_model.json") && resp.body.contains("bad magic"),
+        "{}",
+        resp.body
+    );
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(client::post(&addr, "/admin/reload", "not json").unwrap().status, 400);
     assert_eq!(client::get(&addr, "/admin/reload").unwrap().status, 405);
 
@@ -178,6 +184,13 @@ fn reload_error_paths_reject_without_disturbing_the_served_model() {
         serde_json::from_str(&client::get(&addr, "/healthz").unwrap().body).unwrap();
     assert_eq!(health.generation, Some(1));
     assert_eq!(health.model_fingerprint, fingerprint);
+    // And the old model keeps serving.
+    let &(u, v) = model.ties().first().expect("a trained tie");
+    let resp = client::get(&addr, &format!("/score?src={u}&dst={v}")).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let served: ScoreResponse = serde_json::from_str(&resp.body).unwrap();
+    let expected = model.score(NodeId(u), NodeId(v)).unwrap();
+    assert_eq!(served.score.map(f64::to_bits), Some(expected.to_bits()));
     handle.shutdown();
 }
 

@@ -269,8 +269,8 @@ fn reload_rebinds_the_engine_and_purges_dead_generation_cache_entries() {
     assert_ne!(model.fingerprint(), other.fingerprint());
     let dir = std::env::temp_dir().join(format!("dd_stream_reload_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let artifact = dir.join("next.json");
-    other.save_to_path(&artifact).unwrap();
+    let artifact = dir.join("next.ddm");
+    other.save_binary_to_path(&artifact).unwrap();
 
     let handle = start_streaming(&model, |_| {});
     let addr = handle.addr().to_string();

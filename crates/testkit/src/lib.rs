@@ -17,8 +17,8 @@
 //!   [`KillSchedule`], a seeded shard-kill schedule for fleet failover
 //!   tests.
 //! - [`gen`] — seeded generators for malformed/adversarial HTTP request
-//!   bytes, corrupt model JSON, and degenerate edge lists / weight
-//!   vectors / feature rows.
+//!   bytes, corrupt JSON documents (the `.ddm` meta section) and `.ddm`
+//!   containers, and degenerate edge lists / weight vectors / feature rows.
 //!
 //! dd-testkit is a **dev-dependency only**: nothing in the production
 //! build depends on it, and it deliberately never catches unwinds — a

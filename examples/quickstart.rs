@@ -67,8 +67,8 @@ fn main() {
     }
 
     // 6. Persist the model; reload and verify scores survive.
-    let path = std::env::temp_dir().join("deepdirect_quickstart.json");
-    model.save_to_path(&path).expect("save model");
+    let path = std::env::temp_dir().join("deepdirect_quickstart.ddm");
+    model.save_binary_to_path(&path).expect("save model");
     let loaded = deepdirect::DirectionalityModel::load_from_path(&path).expect("load model");
     let p = sorted[0];
     assert_eq!(model.score(p.src, p.dst), loaded.score(p.src, p.dst));

@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! dd generate twitter --scale 300 --out graph.edges
-//! dd train graph.edges --out model.json
-//! dd serve model.json --port 8080
+//! dd train graph.edges --out model.ddm
+//! dd serve model.ddm --port 8080
 //! ```
 //!
 //! then:

@@ -49,7 +49,7 @@ fn persisted_model_reproduces_predictions() {
     let hidden = env.hidden_split(&tencent(), 0.5, 9);
     let model = DeepDirect::new(fast_cfg(9)).fit(&hidden.network);
     let mut buf = Vec::new();
-    model.save(&mut buf).unwrap();
+    model.save_binary(&mut buf).unwrap();
     let loaded = DirectionalityModel::load(buf.as_slice()).unwrap();
     for (_, t) in hidden.network.iter_ties().take(100) {
         assert_eq!(model.score(t.src, t.dst), loaded.score(t.src, t.dst));
