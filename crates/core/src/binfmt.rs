@@ -513,13 +513,40 @@ pub(crate) fn decode(mut buf: AlignedBuf) -> Result<DecodedModel, BinaryFormatEr
     })
 }
 
-fn push_padded(out: &mut Vec<u8>, target: usize) {
-    debug_assert!(target >= out.len());
-    out.resize(target, 0);
+/// Zero bytes the encoder pads with: enough for any gap before a
+/// [`BLOCK_ALIGN`]-aligned block.
+const PADDING: [u8; BLOCK_ALIGN] = [0; BLOCK_ALIGN];
+
+/// Bytes a big-endian host swaps at a time on their way out.
+const SWAP_CHUNK: usize = 64 * 1024;
+
+/// Hands `f` the little-endian bytes of a section payload in order. On a
+/// little-endian host that is the payload itself, in one piece. On a
+/// big-endian host each 4-byte word of a numeric payload is swapped
+/// through one fixed-size chunk, so the encoder never copies a whole block.
+fn le_pieces(
+    payload: &[u8],
+    numeric: bool,
+    mut f: impl FnMut(&[u8]) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    if !(numeric && cfg!(target_endian = "big")) {
+        return f(payload);
+    }
+    let mut chunk = [0u8; SWAP_CHUNK];
+    for part in payload.chunks(SWAP_CHUNK) {
+        let swapped = &mut chunk[..part.len()];
+        swapped.copy_from_slice(part);
+        bytes::swap_u32_bytes_in_place(swapped);
+        f(swapped)?;
+    }
+    Ok(())
 }
 
-/// Serializes model parts into the binary container. The writer emits
-/// little-endian bytes explicitly, so output is identical on any host.
+/// Serializes model parts into the binary container. The bytes are
+/// little-endian on any host. Each section is checksummed where it lies,
+/// then the header, the table, the meta and each block with its padding go
+/// to `w` one `write_all` at a time: no staging copy of the file or of a
+/// block.
 pub(crate) fn encode<W: Write>(
     mut w: W,
     cfg: &DeepDirectConfig,
@@ -538,68 +565,60 @@ pub(crate) fn encode<W: Write>(
         estep_iterations,
     };
     let meta_bytes = serde_json::to_string(&meta).map_err(|e| e.to_string())?.into_bytes();
+    let (src, dst): (Vec<u32>, Vec<u32>) = ties.iter().copied().unzip();
 
-    let mut src_bytes = Vec::with_capacity(ties.len() * 4);
-    let mut dst_bytes = Vec::with_capacity(ties.len() * 4);
-    for &(u, v) in ties {
-        src_bytes.extend_from_slice(&u.to_le_bytes());
-        dst_bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    let mut emb_bytes = Vec::with_capacity(store.embeddings().len() * 4);
-    for v in store.embeddings() {
-        emb_bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    let ctx_bytes: Option<Vec<u8>> = store.contexts().map(|c| {
-        let mut b = Vec::with_capacity(c.len() * 4);
-        for v in c {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        b
-    });
-
+    // Payloads as native-endian bytes; `le_pieces` hands them out
+    // little-endian.
     let mut sections: Vec<(u32, &[u8])> = vec![
         (section::META, &meta_bytes),
-        (section::TIE_SRC, &src_bytes),
-        (section::TIE_DST, &dst_bytes),
-        (section::EMB, &emb_bytes),
+        (section::TIE_SRC, bytes::u32_bytes(&src)),
+        (section::TIE_DST, bytes::u32_bytes(&dst)),
+        (section::EMB, store.embedding_bytes()),
     ];
-    if let Some(c) = &ctx_bytes {
+    if let Some(c) = store.context_bytes() {
         sections.push((section::CTX, c));
     }
 
-    let table_end = HEADER_LEN + sections.len() * ENTRY_LEN;
     // Lay out payloads: meta directly after the table, numeric sections on
     // 64-byte boundaries.
+    let table_end = HEADER_LEN + sections.len() * ENTRY_LEN;
+    let mut lead = Vec::with_capacity(table_end);
+    lead.extend_from_slice(&MAGIC);
+    lead.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    lead.extend_from_slice(&MODEL_SCHEMA_VERSION.to_le_bytes());
+    lead.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    lead.extend_from_slice(&[0; 4]); // table CRC, filled in below
     let mut offsets = Vec::with_capacity(sections.len());
     let mut cursor = table_end;
     for &(kind, payload) in &sections {
-        if kind != section::META {
+        let numeric = kind != section::META;
+        if numeric {
             cursor = align_up(cursor);
         }
+        let mut crc = 0;
+        le_pieces(payload, numeric, |piece| {
+            crc = bytes::crc32_update(crc, piece);
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?;
+        lead.extend_from_slice(&kind.to_le_bytes());
+        lead.extend_from_slice(&crc.to_le_bytes());
+        lead.extend_from_slice(&(cursor as u64).to_le_bytes());
+        lead.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         offsets.push(cursor);
         cursor += payload.len();
     }
+    let table_crc = bytes::crc32(&lead[HEADER_LEN..]);
+    lead[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&table_crc.to_le_bytes());
 
-    let mut table = Vec::with_capacity(sections.len() * ENTRY_LEN);
+    let mut written = lead.len();
+    w.write_all(&lead).map_err(|e| e.to_string())?;
     for (&(kind, payload), &off) in sections.iter().zip(&offsets) {
-        table.extend_from_slice(&kind.to_le_bytes());
-        table.extend_from_slice(&bytes::crc32(payload).to_le_bytes());
-        table.extend_from_slice(&(off as u64).to_le_bytes());
-        table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        w.write_all(&PADDING[..off - written]).map_err(|e| e.to_string())?;
+        le_pieces(payload, kind != section::META, |piece| w.write_all(piece))
+            .map_err(|e| e.to_string())?;
+        written = off + payload.len();
     }
-
-    let mut out = Vec::with_capacity(cursor);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&MODEL_SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    out.extend_from_slice(&bytes::crc32(&table).to_le_bytes());
-    out.extend_from_slice(&table);
-    for (&(_, payload), &off) in sections.iter().zip(&offsets) {
-        push_padded(&mut out, off);
-        out.extend_from_slice(payload);
-    }
-    debug_assert_eq!(out.len(), cursor);
-
-    w.write_all(&out).map_err(|e| e.to_string())
+    debug_assert_eq!(written, cursor);
+    Ok(())
 }

@@ -6,7 +6,7 @@ use std::path::Path;
 
 use dd_graph::hash::FxHashMap;
 use dd_graph::{MixedSocialNetwork, NodeId};
-use dd_linalg::bytes::{fnv1a64, AlignedBuf, FNV64_SEED};
+use dd_linalg::bytes::{AlignedBuf, Xxh64};
 use dd_linalg::kernels::dot8_f64;
 use dd_linalg::rng::Pcg32;
 use dd_linalg::sigmoid64;
@@ -84,25 +84,22 @@ impl DeepDirect {
             span.finish();
             u
         };
-        let estep_out = {
+        let estep::EStep { params, elapsed_seconds, iters_per_sec, .. } = {
             let _span = root.child_named("estep.train");
             estep::train(&universe, &self.cfg)
         };
         let head = {
             let _span = root.child_named("dstep.train");
-            dstep::train(&universe, &estep_out.params, &self.cfg)
+            dstep::train(&universe, &params, &self.cfg)
         };
-        let contexts =
-            if self.cfg.context_features { Some(estep_out.params.n.clone()) } else { None };
-        let mut pair_index = FxHashMap::default();
-        let mut ties = Vec::with_capacity(universe.len());
-        for (i, t) in universe.ties().iter().enumerate() {
-            pair_index.insert((t.src.0, t.dst.0), i as u32);
-            ties.push((t.src.0, t.dst.0));
-        }
         root.finish();
         obs.flush();
-        let m = &estep_out.params.m;
+        // Free each matrix as soon as the model no longer needs it, so the
+        // copy into the store does not stack on top of the universe and N.
+        let estep::EStepParams { m, n, iterations: estep_iterations, .. } = params;
+        let contexts = self.cfg.context_features.then_some(n);
+        let ties: Vec<(u32, u32)> = universe.ties().iter().map(|t| (t.src.0, t.dst.0)).collect();
+        drop(universe);
         let store = TieStore::from_parts(
             m.cols(),
             m.rows(),
@@ -110,6 +107,8 @@ impl DeepDirect {
             contexts.as_ref().map(|c| c.as_slice()),
         )
         .expect("fit produced consistent embedding shapes");
+        drop((m, contexts));
+        let pair_index = pair_index_of(&ties);
         let fingerprint = fingerprint_of(&store, &ties, &head);
         DirectionalityModel {
             cfg: self.cfg.clone(),
@@ -118,9 +117,9 @@ impl DeepDirect {
             store,
             fingerprint,
             head,
-            estep_iterations: estep_out.params.iterations,
-            estep_seconds: estep_out.elapsed_seconds,
-            estep_iters_per_sec: estep_out.iters_per_sec,
+            estep_iterations,
+            estep_seconds: elapsed_seconds,
+            estep_iters_per_sec: iters_per_sec,
         }
     }
 }
@@ -159,24 +158,38 @@ pub struct DirectionalityModel {
     estep_iters_per_sec: f64,
 }
 
-/// FNV-1a fingerprint over everything that affects scores. Per-process
-/// identity (native-endian block bytes), not a portable digest — the binary
-/// format's CRC-32 sections cover on-disk integrity.
+/// Row of each ordered tie, sized for all of them up front so the map never
+/// rehashes as it fills. A repeated pair keeps its last row.
+fn pair_index_of(ties: &[(u32, u32)]) -> FxHashMap<(u32, u32), u32> {
+    let mut index = FxHashMap::default();
+    index.reserve(ties.len());
+    for (i, &pair) in ties.iter().enumerate() {
+        index.insert(pair, i as u32);
+    }
+    index
+}
+
+/// XXH64 fingerprint over everything that affects scores, in a fixed field
+/// order: shapes, ties (a pair at a time), the embedding and context blocks,
+/// the head's JSON. Recomputed from the bytes on every fit and every load,
+/// never read from a file. Per-process identity (native-endian block
+/// bytes), not a portable digest — the binary format's CRC-32 sections
+/// cover on-disk integrity.
 fn fingerprint_of(store: &TieStore, ties: &[(u32, u32)], head: &DirectionalityHead) -> u64 {
-    let mut h = fnv1a64(&(store.dim() as u64).to_le_bytes(), FNV64_SEED);
-    h = fnv1a64(&(store.rows() as u64).to_le_bytes(), h);
+    let mut h = Xxh64::new(0);
+    h.update(&(store.dim() as u64).to_le_bytes());
+    h.update(&(store.rows() as u64).to_le_bytes());
     for &(u, v) in ties {
-        h = fnv1a64(&u.to_le_bytes(), h);
-        h = fnv1a64(&v.to_le_bytes(), h);
+        h.update(&(u64::from(u) | u64::from(v) << 32).to_le_bytes());
     }
-    h = fnv1a64(store.embedding_bytes(), h);
+    h.update(store.embedding_bytes());
     if let Some(c) = store.context_bytes() {
-        h = fnv1a64(c, h);
+        h.update(c);
     }
-    match serde_json::to_string(head) {
-        Ok(js) => fnv1a64(js.as_bytes(), h),
-        Err(_) => h,
+    if let Ok(js) = serde_json::to_string(head) {
+        h.update(js.as_bytes());
     }
+    h.finish()
 }
 
 impl DirectionalityModel {
@@ -247,10 +260,12 @@ impl DirectionalityModel {
         self.store.embedding_row(row)
     }
 
-    /// Content fingerprint over shapes, ties, embedding blocks and head
-    /// parameters. Two models with the same fingerprint score identically;
-    /// `dd-serve` uses it to namespace its score cache and report identity
-    /// in `/healthz`. Not portable across architectures or builds.
+    /// Content fingerprint (XXH64) over shapes, ties, embedding blocks and
+    /// head parameters, computed from the bytes on every fit and load. Two
+    /// models with the same fingerprint score identically; `dd-serve` uses
+    /// it to namespace its score cache and report identity in `/healthz`.
+    /// Not portable across architectures or builds: the same `.ddm` may
+    /// fingerprint differently under another build.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -308,8 +323,9 @@ impl DirectionalityModel {
 
     /// Saves the model to a `.ddm` file.
     pub fn save_binary_to_path<P: AsRef<Path>>(&self, path: P) -> Result<(), String> {
-        // No `BufWriter`: the encoder writes the whole file in one
-        // `write_all`, and a dropped `BufWriter` would swallow a failed flush.
+        // No `BufWriter`: the encoder hands over a few large `write_all`s
+        // (header and table, meta, each block), and a dropped `BufWriter`
+        // would swallow a failed flush.
         let f = std::fs::File::create(path).map_err(|e| e.to_string())?;
         self.save_binary(f)
     }
@@ -318,11 +334,7 @@ impl DirectionalityModel {
     /// the embedding blocks).
     fn load_binary_buf(buf: AlignedBuf) -> Result<Self, String> {
         let decoded = binfmt::decode(buf).map_err(|e| format!("invalid binary model: {e}"))?;
-        let mut pair_index = FxHashMap::default();
-        pair_index.reserve(decoded.ties.len());
-        for (i, &(u, v)) in decoded.ties.iter().enumerate() {
-            pair_index.insert((u, v), i as u32);
-        }
+        let pair_index = pair_index_of(&decoded.ties);
         let fingerprint = fingerprint_of(&decoded.store, &decoded.ties, &decoded.head);
         Ok(DirectionalityModel {
             cfg: decoded.cfg,
@@ -463,6 +475,57 @@ mod tests {
                 "context-model score diverged at row {row}"
             );
         }
+    }
+
+    #[test]
+    fn fingerprint_moves_with_every_field_and_survives_the_file() {
+        let gen_cfg = SocialNetConfig { n_nodes: 60, ..Default::default() };
+        let mut grng = StdRng::seed_from_u64(17);
+        let net = social_network(&gen_cfg, &mut grng).network;
+        let cfg = DeepDirectConfig {
+            dim: 12,
+            max_iterations: Some(5_000),
+            context_features: true,
+            ..DeepDirectConfig::default()
+        };
+        let model = DeepDirect::new(cfg).fit(&net);
+        let (dim, rows) = (model.dim(), model.n_ties());
+        let emb = model.store.embeddings().to_vec();
+        let ctx = model.store.contexts().expect("context model").to_vec();
+        let fp = |emb: &[f32], ctx: &[f32], ties: &[(u32, u32)], head: &DirectionalityHead| {
+            let store = TieStore::from_parts(dim, rows, emb, Some(ctx)).unwrap();
+            fingerprint_of(&store, ties, head)
+        };
+        let base = fp(&emb, &ctx, &model.ties, &model.head);
+        assert_eq!(base, model.fingerprint());
+
+        // One mantissa bit at seeded positions of either block (mantissa
+        // bits keep the value finite).
+        let mut rng = Pcg32::seed_from_u64(3);
+        for _ in 0..16 {
+            let at = rng.next_u32() as usize % emb.len();
+            let bit = 1 << (rng.next_u32() % 23);
+            let mut e = emb.clone();
+            e[at] = f32::from_bits(e[at].to_bits() ^ bit);
+            assert_ne!(fp(&e, &ctx, &model.ties, &model.head), base, "embedding {at} bit {bit:#x}");
+            let mut c = ctx.clone();
+            c[at] = f32::from_bits(c[at].to_bits() ^ bit);
+            assert_ne!(fp(&emb, &c, &model.ties, &model.head), base, "context {at} bit {bit:#x}");
+        }
+        let mut ties = model.ties.clone();
+        ties[rows / 2].1 += 1;
+        assert_ne!(fp(&emb, &ctx, &ties, &model.head), base, "one tie");
+        let mut head = model.head.clone();
+        let DirectionalityHead::Logistic(lr) = &mut head else { panic!("logistic head") };
+        lr.b = f32::from_bits(lr.b.to_bits() ^ 1);
+        assert_ne!(fp(&emb, &ctx, &model.ties, &head), base, "head bias");
+
+        // The same content reached through the file fingerprints the same.
+        let path = std::env::temp_dir().join(format!("dd_model_fp_{}.ddm", std::process::id()));
+        model.save_binary_to_path(&path).unwrap();
+        let loaded = DirectionalityModel::load_from_path(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.fingerprint(), base);
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl TieStore {
         self.contexts().map(|c| &c[r * self.dim..(r + 1) * self.dim])
     }
 
-    /// Native-endian bytes of the embedding block (fingerprinting).
+    /// Native-endian bytes of the embedding block (fingerprint and encoder).
     pub fn embedding_bytes(&self) -> &[u8] {
         bytes::f32_bytes(self.embeddings())
     }

@@ -88,3 +88,49 @@ fn ddm_loaded_scores_are_bit_identical_across_8_threads() {
         }
     }
 }
+
+/// A writer that takes `room` bytes, then fails every write, like a disk
+/// that fills up mid-file.
+struct FailAfter {
+    room: usize,
+}
+
+impl std::io::Write for FailAfter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.room == 0 {
+            return Err(std::io::Error::other("no space left"));
+        }
+        let n = buf.len().min(self.room);
+        self.room -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn save_binary_reports_a_writer_that_fails_at_any_section_boundary() {
+    use deepdirect::binfmt::{ENTRY_LEN, HEADER_LEN};
+    let model = fit_model(true);
+    let mut bin = Vec::new();
+    model.save_binary(&mut bin).unwrap();
+    let n_sections = u32::from_le_bytes(bin[16..20].try_into().unwrap()) as usize;
+    assert_eq!(n_sections, 5, "a context model writes every section kind");
+    let mut boundaries = vec![0, HEADER_LEN, HEADER_LEN + n_sections * ENTRY_LEN, bin.len()];
+    for i in 0..n_sections {
+        let e = HEADER_LEN + i * ENTRY_LEN;
+        let off = u64::from_le_bytes(bin[e + 8..e + 16].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(bin[e + 16..e + 24].try_into().unwrap()) as usize;
+        boundaries.extend([off, off + len]);
+    }
+    for k in boundaries.iter().flat_map(|&b| [b.saturating_sub(1), b, b + 1]) {
+        let result = model.save_binary(FailAfter { room: k });
+        if k < bin.len() {
+            assert!(result.is_err(), "a write failing after {k} of {} bytes", bin.len());
+        } else {
+            assert!(result.is_ok(), "{k} bytes of room hold the {}-byte file", bin.len());
+        }
+    }
+}

@@ -1,16 +1,20 @@
-//! Golden fingerprints of serial fits: a `threads: 1` fit is a pure
-//! function of its seed, so the model fingerprint (shapes, ties, embedding
-//! and context bytes, head parameters) is pinned bit for bit. A change to
-//! the E-Step or D-Step loops that alters any RNG draw or any float
-//! operation in either stage moves these values.
+//! Golden pins of serial fits: a `threads: 1` fit is a pure function of its
+//! seed, so two independent views of the fitted model are pinned bit for
+//! bit. The `.ddm` bytes (length and CRC-32 of `save_binary`) pin the fit
+//! and the encoder without depending on the fingerprint hash; the model
+//! fingerprint (shapes, ties, embedding and context bytes, head parameters)
+//! pins the fingerprint over the same content. A change to the E-Step or
+//! D-Step loops that alters any RNG draw or any float operation in either
+//! stage moves both.
 
 use dd_graph::generators::{social_network, SocialNetConfig};
 use dd_graph::sampling::hide_directions;
-use deepdirect::{DStepHead, DeepDirect, DeepDirectConfig};
+use dd_linalg::bytes::crc32;
+use deepdirect::{DStepHead, DeepDirect, DeepDirectConfig, DirectionalityModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn serial_fingerprint(cfg: DeepDirectConfig) -> u64 {
+fn serial_fit(cfg: DeepDirectConfig) -> DirectionalityModel {
     let mut rng = StdRng::seed_from_u64(2024);
     let net =
         social_network(&SocialNetConfig { n_nodes: 140, ..Default::default() }, &mut rng).network;
@@ -23,22 +27,53 @@ fn serial_fingerprint(cfg: DeepDirectConfig) -> u64 {
         seed: 77,
         ..cfg
     };
-    DeepDirect::new(cfg).fit(&hidden).fingerprint()
+    DeepDirect::new(cfg).fit(&hidden)
 }
 
-#[test]
-fn serial_logistic_fit_fingerprint_is_pinned() {
-    let fp = serial_fingerprint(DeepDirectConfig::default());
-    assert_eq!(fp, 0x9c44_fb4a_252f_7fee, "serial logistic fit fingerprint moved: {fp:#018x}");
-}
-
-#[test]
-fn serial_context_mlp_fit_fingerprint_is_pinned() {
-    let fp = serial_fingerprint(DeepDirectConfig {
+fn context_mlp() -> DeepDirectConfig {
+    DeepDirectConfig {
         context_features: true,
         head: DStepHead::Mlp,
         mlp_hidden: 8,
         ..DeepDirectConfig::default()
-    });
-    assert_eq!(fp, 0xab4e_0fb5_2c77_29c2, "serial context+MLP fit fingerprint moved: {fp:#018x}");
+    }
+}
+
+/// Byte length and CRC-32 of the model's `.ddm` encoding.
+fn ddm_pin(model: &DirectionalityModel) -> (usize, u32) {
+    let mut bytes = Vec::new();
+    model.save_binary(&mut bytes).expect("encoding to a Vec cannot fail");
+    (bytes.len(), crc32(&bytes))
+}
+
+#[test]
+fn serial_logistic_fit_fingerprint_is_pinned() {
+    let fp = serial_fit(DeepDirectConfig::default()).fingerprint();
+    assert_eq!(fp, 0xd5f6_c143_2893_a6d5, "serial logistic fit fingerprint moved: {fp:#018x}");
+}
+
+#[test]
+fn serial_context_mlp_fit_fingerprint_is_pinned() {
+    let fp = serial_fit(context_mlp()).fingerprint();
+    assert_eq!(fp, 0x6b08_78e4_301b_b9d6, "serial context+MLP fit fingerprint moved: {fp:#018x}");
+}
+
+#[test]
+fn serial_logistic_fit_ddm_bytes_are_pinned() {
+    let (len, crc) = ddm_pin(&serial_fit(DeepDirectConfig::default()));
+    assert_eq!(
+        (len, crc),
+        (99_648, 0x2d22_d5d3),
+        "serial logistic .ddm moved: ({len}, {crc:#010x})"
+    );
+}
+
+#[test]
+fn serial_context_mlp_fit_ddm_bytes_are_pinned() {
+    let (len, crc) = ddm_pin(&serial_fit(context_mlp()));
+    assert_eq!(
+        (len, crc),
+        (192_576, 0xca5c_e31c),
+        "serial context+MLP .ddm moved: ({len}, {crc:#010x})"
+    );
 }

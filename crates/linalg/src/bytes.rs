@@ -196,8 +196,9 @@ pub fn u32_slice(bytes: &[u8]) -> Result<&[u32], CastError> {
 
 /// Native-endian byte view of an `f32` slice — the inverse direction of
 /// [`f32_slice`]. Always valid (alignment only decreases), so it cannot
-/// fail. Used for block copies and fingerprinting, not for serialization
-/// (the on-disk format is explicitly little-endian).
+/// fail. Used for block copies, fingerprinting and the `.ddm` encoder,
+/// which writes the view as is on little-endian hosts (the on-disk format
+/// is explicitly little-endian) and word-swaps it on big-endian ones.
 pub fn f32_bytes(xs: &[f32]) -> &[u8] {
     // SAFETY: any initialized memory is valid as bytes; lifetime tied to xs.
     unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs)) }
@@ -274,8 +275,16 @@ const fn build_crc32_slices() -> [[u32; 256]; 8] {
 /// byte at a time. Safe, portable code, about 4× the bytewise rate on a
 /// whole model file (DESIGN.md §7.13).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Extends `crc`, the CRC-32 of some prefix, over `bytes`: the CRC-32 of
+/// the prefix followed by `bytes`, as zlib's `crc32(crc, buf, len)` chains.
+/// `crc32_update(0, b)` is `crc32(b)`, so a section can be checksummed one
+/// chunk at a time.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_SLICES;
-    let mut c = !0u32;
+    let mut c = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -295,9 +304,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// FNV-1a 64-bit hash of `bytes`, folded into `seed` — the model fingerprint
-/// primitive. Chain calls by threading the returned value back in as the
-/// next seed; start from [`FNV64_SEED`].
+/// FNV-1a 64-bit hash of `bytes`, folded into `seed` — the byte-at-a-time
+/// hash of short keys: the router's consistent-hash ring and tie keys.
+/// Chain calls by threading the returned value back in as the next seed;
+/// start from [`FNV64_SEED`]. Bulk data goes through [`xxh64`], which
+/// consumes a word per lane instead of a byte per multiply.
 pub fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
     let mut h = seed;
     for &b in bytes {
@@ -309,6 +320,135 @@ pub fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
 
 /// The FNV-1a 64-bit offset basis — initial seed for [`fnv1a64`].
 pub const FNV64_SEED: u64 = 0xCBF2_9CE4_8422_2325;
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Bytes one XXH64 round consumes: four 64-bit lanes.
+const XXH_STRIPE: usize = 32;
+
+fn read_u64_le(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2)).rotate_left(31).wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh_round(0, acc)).wrapping_mul(XXH_P1).wrapping_add(XXH_P4)
+}
+
+/// XXH64 of `bytes` under `seed` — the model fingerprint hash (DESIGN.md
+/// §7.13). Four independent 64-bit lanes each take one word of every
+/// 32-byte stripe, so a long input hashes at memory speed where
+/// [`fnv1a64`] waits on one multiply per byte. Equal to feeding the same
+/// bytes through [`Xxh64`] in any split.
+pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
+    let mut h = Xxh64::new(seed);
+    h.update(bytes);
+    h.finish()
+}
+
+/// Streaming XXH64: [`Self::update`] any number of times, then
+/// [`Self::finish`]; the digest is [`xxh64`] of the concatenated input.
+#[derive(Debug, Clone)]
+pub struct Xxh64 {
+    seed: u64,
+    lanes: [u64; 4],
+    /// Input not yet folded into the lanes (under one stripe).
+    pending: [u8; XXH_STRIPE],
+    pending_len: usize,
+    total_len: u64,
+}
+
+impl Xxh64 {
+    /// A hasher with nothing fed yet.
+    pub fn new(seed: u64) -> Self {
+        Xxh64 {
+            seed,
+            lanes: [
+                seed.wrapping_add(XXH_P1).wrapping_add(XXH_P2),
+                seed.wrapping_add(XXH_P2),
+                seed,
+                seed.wrapping_sub(XXH_P1),
+            ],
+            pending: [0; XXH_STRIPE],
+            pending_len: 0,
+            total_len: 0,
+        }
+    }
+
+    fn stripe(&mut self, stripe: &[u8]) {
+        for (k, lane) in self.lanes.iter_mut().enumerate() {
+            *lane = xxh_round(*lane, read_u64_le(&stripe[8 * k..]));
+        }
+    }
+
+    /// Feeds `bytes`.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total_len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (XXH_STRIPE - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < XXH_STRIPE {
+                return;
+            }
+            let stripe = self.pending;
+            self.stripe(&stripe);
+            self.pending_len = 0;
+        }
+        let mut stripes = bytes.chunks_exact(XXH_STRIPE);
+        for stripe in &mut stripes {
+            self.stripe(stripe);
+        }
+        let rest = stripes.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
+    }
+
+    /// The digest of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        let [v1, v2, v3, v4] = self.lanes;
+        let mut h = if self.total_len >= XXH_STRIPE as u64 {
+            let h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            [v1, v2, v3, v4].into_iter().fold(h, xxh_merge)
+        } else {
+            self.seed.wrapping_add(XXH_P5)
+        };
+        h = h.wrapping_add(self.total_len);
+        let mut tail = &self.pending[..self.pending_len];
+        while tail.len() >= 8 {
+            h ^= xxh_round(0, read_u64_le(tail));
+            h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let word = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
+            h ^= u64::from(word).wrapping_mul(XXH_P1);
+            h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+            tail = &tail[4..];
+        }
+        for &b in tail {
+            h ^= u64::from(b).wrapping_mul(XXH_P5);
+            h = h.rotate_left(11).wrapping_mul(XXH_P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(XXH_P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(XXH_P3);
+        h ^ (h >> 32)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -423,6 +563,52 @@ mod tests {
         }
         let big: Vec<u8> = (0..1 << 20).map(|_| rng.next_u32() as u8).collect();
         assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn crc32_update_chains_like_one_pass() {
+        let data = b"The quick brown fox jumps over the lazy dog";
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32_update(crc32(a), b), crc32(data), "split {split}");
+        }
+    }
+
+    #[test]
+    fn xxh64_matches_known_vectors() {
+        // Reference XXH64 digests at seed 0; the 39-byte input takes one
+        // full stripe, then the 8-, 4- and 1-byte tail steps.
+        assert_eq!(xxh64(b"", 0), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a", 0), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc", 0), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition", 0), 0xFBCE_A83C_8A37_8BF1);
+    }
+
+    #[test]
+    fn xxh64_streamed_equals_one_shot_at_every_split() {
+        let mut rng = crate::Pcg32::seed_from_u64(18);
+        let buf: Vec<u8> = (0..1024).map(|_| rng.next_u32() as u8).collect();
+        let whole = xxh64(&buf, 7);
+        for split in 0..=buf.len() {
+            let mut h = Xxh64::new(7);
+            h.update(&buf[..split]);
+            h.update(&buf[split..]);
+            assert_eq!(h.finish(), whole, "split {split}");
+        }
+        // Many small feeds, as the fingerprint feeds ties a pair at a time.
+        let mut h = Xxh64::new(7);
+        for pair in buf.chunks(8) {
+            h.update(pair);
+        }
+        assert_eq!(h.finish(), whole);
+        // Every length across the stripe and its tail paths.
+        for len in 0..=100 {
+            let mut h = Xxh64::new(0);
+            for &b in &buf[..len] {
+                h.update(&[b]);
+            }
+            assert_eq!(h.finish(), xxh64(&buf[..len], 0), "len {len}");
+        }
     }
 
     #[test]

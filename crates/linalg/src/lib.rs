@@ -19,8 +19,8 @@
 //!   — [`stats`],
 //! * explicit float comparisons (`is_zero`, `approx_eq`) backing the
 //!   `float-eq` lint — [`float`],
-//! * aligned byte buffers, checked byte↔typed casts, CRC-32 and FNV-1a —
-//!   the audited substrate of the binary model format — [`bytes`],
+//! * aligned byte buffers, checked byte↔typed casts, CRC-32, XXH64 and
+//!   FNV-1a — the audited substrate of the binary model format — [`bytes`],
 //! * unrolled dot-product kernels with a fixed f64 accumulation order for
 //!   the scoring hot path — [`kernels`].
 
