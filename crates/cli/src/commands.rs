@@ -81,7 +81,7 @@ USAGE:
                                        /admin/reload /metrics; --stream adds POST /ingest
                                        for live tie events, scored via fold-in)
   dd serve   <model> --shards N       fleet mode: spawns N shard processes and a
-                                      consistent-hash router in front (--port is the
+                                      rendezvous-hash router in front (--port is the
                                       router's; shards take ephemeral ports; ctrl-c
                                       drains router first, then shards)
   dd events  <edges>          --out <file.jsonl> [--count N] [--seed S] [--burstiness F]
@@ -411,7 +411,7 @@ fn serve_observer(args: &Args) -> Result<ObserverHandle, String> {
 /// `dd serve <model> --shards N`: fleet mode. Spawns N shard processes of
 /// this same binary (`dd serve <model> --port 0`) at once, parses each
 /// shard's listening line for its resolved address, fronts them with an
-/// in-process consistent-hash router, and supervises the children: an
+/// in-process rendezvous-hash router, and supervises the children: an
 /// unexpected shard exit is reported (the router fails over to the
 /// survivors), and SIGINT drains the router first, then cascades SIGINT to
 /// every shard (DESIGN.md §7.14 drain ordering).

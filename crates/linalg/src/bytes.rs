@@ -305,7 +305,7 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
 }
 
 /// FNV-1a 64-bit hash of `bytes`, folded into `seed` — the byte-at-a-time
-/// hash of short keys: the router's consistent-hash ring and tie keys.
+/// hash of short keys: the stream engine's state digest.
 /// Chain calls by threading the returned value back in as the next seed;
 /// start from [`FNV64_SEED`]. Bulk data goes through [`xxh64`], which
 /// consumes a word per lane instead of a byte per multiply.

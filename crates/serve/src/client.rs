@@ -1,5 +1,5 @@
-//! Minimal blocking HTTP/1.1 client over `TcpStream`, shared by the smoke
-//! binary, the router, the example client, and the integration tests. One
+//! Minimal blocking HTTP/1.1 client over `TcpStream`, shared by the router,
+//! the example client, and the integration tests. One
 //! request per connection, matching the server's `Connection: close`
 //! contract.
 //!

@@ -19,10 +19,11 @@
 //!   it in under the write guard, so no request mixes two generations and
 //!   the retired model is freed as soon as the swap is done. The
 //!   fingerprint-keyed cache makes stale entries structurally impossible.
-//! - **Sharded fleet** ([`router`]): `dd-router` consistent-hashes ties
-//!   across N shard processes, fails over on shard death, quarantines and
-//!   re-probes unhealthy shards, and aggregates `/metrics` with per-shard
-//!   labels. `dd serve --shards N` supervises a whole fleet.
+//! - **Sharded fleet** ([`router`]): the router places each tie on one of
+//!   N full-replica shard processes by rendezvous hashing, so one shard's
+//!   cache holds it, fails over on shard death, quarantines and re-probes
+//!   unhealthy shards, and aggregates `/metrics` with per-shard labels.
+//!   `dd serve --shards N` supervises a whole fleet.
 //! - **Per-request timeouts** ([`http`]): slow or hostile clients hit
 //!   read/write deadlines and size limits, never pinning a worker.
 //! - **Sharded LRU score cache** ([`lru`]): entries are keyed by the

@@ -1,14 +1,13 @@
-//! The fleet router: consistent-hash request fan-out over shard replicas.
+//! The fleet router: rendezvous-hash request fan-out over shard replicas.
 //!
-//! A [`Router`] sits in front of N `dd-serve` shard processes (full
-//! replicas today; the hash ring makes a future embedding partition a
-//! config change, not a redesign — DESIGN.md §7.14). `(src, dst)` queries
-//! are consistent-hashed onto the ring, forwarded to the owning shard with
-//! `traceparent` propagated so a routed request is one trace across
-//! processes, and failed over to the next ring candidate on transport
-//! errors. Shards accumulate consecutive failures, get marked unhealthy,
-//! and are re-probed via `/healthz` by a background prober until they
-//! rejoin. `/metrics` aggregates router traffic with per-shard labels.
+//! A [`Router`] sits in front of N `dd-serve` shard processes, each a full
+//! replica. Every `(src, dst)` query is placed on one shard by rendezvous
+//! hashing (DESIGN.md §7.14) so that one shard's LRU caches it, forwarded
+//! with `traceparent` propagated so a routed request is one trace across
+//! processes, and failed over to the tie's next candidate on transport
+//! errors and `503`s. Shards accumulate consecutive failures, get marked
+//! unhealthy, and are re-probed via `/healthz` by a background prober until
+//! they rejoin. `/metrics` aggregates router traffic with per-shard labels.
 //!
 //! The router never holds a model: `/score` and `/batch` are pure
 //! forwards, `/admin/reload` and `/ingest` fan out to every shard (shards
@@ -18,14 +17,15 @@
 //!
 //! The HTTP front end — accept queue, worker pool, request frame, shutdown
 //! — is the one shards use (`front.rs`); this module supplies the routes,
-//! the ring, and the health prober.
+//! the placement, and the health prober.
 
+use std::cmp::Reverse;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dd_linalg::bytes::{fnv1a64, FNV64_SEED};
+use dd_linalg::bytes::xxh64;
 use dd_linalg::Pcg32;
 use dd_telemetry::export::{prometheus_text, PromFamily};
 use dd_telemetry::{Counter, Gauge, ObserverHandle, Registry};
@@ -51,16 +51,11 @@ pub struct RouterConfig {
     pub queue_depth: usize,
     /// Per-request read/write timeout on the client side of the router.
     pub request_timeout: Duration,
-    /// Pacing for failover rounds after every candidate shard failed once.
-    pub retry: RetryPolicy,
     /// Consecutive forward failures before a shard is marked unhealthy and
     /// demoted to last-resort candidate until a probe revives it.
     pub unhealthy_after: u32,
     /// Background `/healthz` probe cadence for unhealthy shards.
     pub probe_interval: Duration,
-    /// Virtual nodes per shard on the hash ring. More vnodes smooth the
-    /// key distribution; 32 keeps the ring a few hundred entries.
-    pub vnodes: usize,
     /// Structured request-log sink.
     pub observer: ObserverHandle,
 }
@@ -73,10 +68,8 @@ impl Default for RouterConfig {
             workers: 4,
             queue_depth: 64,
             request_timeout: Duration::from_secs(5),
-            retry: RetryPolicy::default(),
             unhealthy_after: 3,
             probe_interval: Duration::from_millis(200),
-            vnodes: 32,
             observer: ObserverHandle::none(),
         }
     }
@@ -93,62 +86,16 @@ impl RouterConfig {
         if self.queue_depth == 0 {
             return Err("router: queue depth must be positive".into());
         }
-        if self.vnodes == 0 {
-            return Err("router: need at least one vnode per shard".into());
-        }
         Ok(())
     }
-}
-
-/// Consistent-hash ring: sorted `(hash, shard_index)` points, `vnodes`
-/// entries per shard. Lookup walks clockwise from the key's position and
-/// yields each distinct shard once — the natural failover order.
-struct Ring {
-    points: Vec<(u64, usize)>,
-    n_shards: usize,
-}
-
-impl Ring {
-    fn build(shards: &[String], vnodes: usize) -> Self {
-        let mut points: Vec<(u64, usize)> = Vec::with_capacity(shards.len() * vnodes);
-        for (i, addr) in shards.iter().enumerate() {
-            for v in 0..vnodes {
-                points.push((fnv1a64(format!("{addr}#{v}").as_bytes(), FNV64_SEED), i));
-            }
-        }
-        points.sort_unstable();
-        Ring { points, n_shards: shards.len() }
-    }
-
-    /// Every shard index, ordered by ring distance from `key` (the first
-    /// entry owns the key; the rest are the failover sequence).
-    fn candidates(&self, key: u64) -> Vec<usize> {
-        let start = self.points.partition_point(|&(h, _)| h < key);
-        let mut out = Vec::with_capacity(self.n_shards);
-        for i in 0..self.points.len() {
-            let (_, shard) = self.points[(start + i) % self.points.len()];
-            if !out.contains(&shard) {
-                out.push(shard);
-                if out.len() == self.n_shards {
-                    break;
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Hash key for a tie: the router's unit of placement.
-fn tie_hash(src: u32, dst: u32) -> u64 {
-    let mut bytes = [0u8; 8];
-    bytes[..4].copy_from_slice(&src.to_le_bytes());
-    bytes[4..].copy_from_slice(&dst.to_le_bytes());
-    fnv1a64(&bytes, FNV64_SEED)
 }
 
 /// Live state for one shard behind the router.
 struct ShardState {
     addr: String,
+    /// Rendezvous seed, `xxh64(addr, 0)`: placement follows the shard's
+    /// address, not its position in the shard list.
+    seed: u64,
     healthy: AtomicBool,
     consecutive_failures: AtomicU32,
     forwards: Arc<Counter>,
@@ -178,9 +125,7 @@ impl ShardState {
 
 struct RouterState {
     shards: Vec<ShardState>,
-    ring: Ring,
     registry: Arc<Registry>,
-    retry: RetryPolicy,
     unhealthy_after: u32,
     failovers: Arc<Counter>,
     retry_refused: Arc<Counter>,
@@ -199,6 +144,7 @@ impl RouterState {
                 healthy_gauge.set(1.0);
                 ShardState {
                     addr: addr.clone(),
+                    seed: xxh64(addr.as_bytes(), 0),
                     healthy: AtomicBool::new(true),
                     consecutive_failures: AtomicU32::new(0),
                     forwards: registry.counter(&format!("router.shard.forwards.{addr}")),
@@ -210,8 +156,6 @@ impl RouterState {
         registry.gauge("router.shards").set(cfg.shards.len() as f64);
         RouterState {
             shards,
-            ring: Ring::build(&cfg.shards, cfg.vnodes),
-            retry: cfg.retry.clone(),
             unhealthy_after: cfg.unhealthy_after,
             failovers: registry.counter("router.failovers"),
             retry_refused: registry.counter("router.retry.refused"),
@@ -221,52 +165,36 @@ impl RouterState {
         }
     }
 
-    /// Candidate order for a key: ring order, healthy shards first. An
-    /// unhealthy shard stays a last-resort candidate — with every replica
-    /// down it is still better to try than to fail outright.
-    fn ordered_candidates(&self, key: u64) -> Vec<usize> {
-        let ring_order = self.ring.candidates(key);
-        let mut healthy: Vec<usize> = Vec::with_capacity(ring_order.len());
-        let mut unhealthy: Vec<usize> = Vec::new();
-        for i in ring_order {
-            if self.shards[i].is_healthy() {
-                healthy.push(i);
-            } else {
-                unhealthy.push(i);
-            }
-        }
-        healthy.extend(unhealthy);
-        healthy
+    /// Candidate order for the tie `(src, dst)` by rendezvous
+    /// (highest-random-weight) hashing: each shard weighs the tie with its
+    /// own seed, and shards sort healthy first, then by weight descending,
+    /// then by index. The first entry owns the tie; the rest are its
+    /// failover sequence. An unhealthy shard stays a last-resort candidate —
+    /// with every replica down it is still better to try than to fail
+    /// outright.
+    fn candidates(&self, src: u32, dst: u32) -> Vec<usize> {
+        let mut key = [0u8; 8];
+        key[..4].copy_from_slice(&src.to_le_bytes());
+        key[4..].copy_from_slice(&dst.to_le_bytes());
+        // Health is read once per shard, before sorting: a comparator that
+        // re-read the atomic could see it flip mid-sort and order
+        // inconsistently.
+        let mut ranked: Vec<(bool, Reverse<u64>, usize)> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| (!shard.is_healthy(), Reverse(xxh64(&key, shard.seed)), i))
+            .collect();
+        ranked.sort_unstable();
+        ranked.into_iter().map(|(_, _, i)| i).collect()
     }
 
-    /// Forwards one GET to the first candidate that answers, failing over
-    /// through `candidates` and pacing full failed rounds with the retry
-    /// policy's backoff schedule. Returns the shard index that answered.
-    fn forward_get(
-        &self,
-        candidates: &[usize],
-        path: &str,
-        headers: &[(&str, &str)],
-    ) -> Result<(usize, ClientResponse), String> {
-        self.forward(candidates, headers, |shard, hdrs| client::get_classified(shard, path, hdrs))
-    }
-
-    /// [`forward_get`] for POST bodies. Replay across shards is safe here
-    /// even though POST is not idempotent in general: shard scoring is a
-    /// pure read, so a sub-batch that died mid-flight can be re-sent to a
-    /// replica without double effects.
-    fn forward_post(
-        &self,
-        candidates: &[usize],
-        path: &str,
-        body: &str,
-        headers: &[(&str, &str)],
-    ) -> Result<(usize, ClientResponse), String> {
-        self.forward(candidates, headers, |shard, hdrs| {
-            client::post_classified(shard, path, body, hdrs)
-        })
-    }
-
+    /// Sends one request to the first candidate that answers, failing over
+    /// through `candidates` and pacing full failed rounds with the default
+    /// retry policy's backoff schedule. Returns the shard index that answered.
+    /// A `503` moves on to the next candidate without a health strike; a
+    /// transport error strikes the shard and moves on; any other status,
+    /// `500` included, is the shard's answer and clears its strikes.
     fn forward<F>(
         &self,
         candidates: &[usize],
@@ -276,11 +204,12 @@ impl RouterState {
     where
         F: Fn(&str, &[(&str, &str)]) -> Result<ClientResponse, client::TransportError>,
     {
-        let mut rng = Pcg32::seed_from_u64(self.retry.seed);
+        let retry = RetryPolicy::default();
+        let mut rng = Pcg32::seed_from_u64(retry.seed);
         // dd-lint: allow(trace-hygiene) — failover-budget accounting on the
         // forwarding path; latency is reported via the endpoint histogram.
         let start = Instant::now();
-        let rounds = self.retry.attempts.max(1);
+        let rounds = retry.attempts.max(1);
         let mut last_err = String::from("no shards configured");
         for round in 0..rounds {
             for (nth, &i) in candidates.iter().enumerate() {
@@ -314,8 +243,8 @@ impl RouterState {
             // Every candidate failed this round; pace the next round. A
             // refused connect fails instantly, so without this sleep a dead
             // fleet would burn all rounds in microseconds.
-            let sleep = self.retry.backoff(round, &mut rng).max(self.retry.refused_delay);
-            if round + 1 >= rounds || start.elapsed() + sleep > self.retry.budget {
+            let sleep = retry.backoff(round, &mut rng).max(retry.refused_delay);
+            if round + 1 >= rounds || start.elapsed() + sleep > retry.budget {
                 break;
             }
             std::thread::sleep(sleep);
@@ -328,7 +257,7 @@ impl RouterState {
 #[derive(Debug, Serialize, Deserialize)]
 pub struct RouterHealth {
     /// `"ok"` when every shard answers, `"degraded"` when some (but not
-    /// all) are down — the ring fails over, so this still serves — and
+    /// all) are down — requests fail over, so this still serves — and
     /// `"down"` (with a 503) when no shard answers.
     pub status: String,
     /// Shards currently answering their `/healthz`.
@@ -435,7 +364,7 @@ fn healthz_endpoint(state: &RouterState) -> Routed {
         "ok"
     };
     let body = RouterHealth { status: status_word.to_string(), healthy_shards, shards };
-    // Partial outages still serve (the ring fails over), so only a fully
+    // Partial outages still serve (requests fail over), so only a fully
     // dead fleet is a 503.
     let status = if healthy_shards == 0 { 503 } else { 200 };
     ("healthz", status, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
@@ -446,9 +375,11 @@ fn score_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &s
         Ok(pair) => pair,
         Err(routed) => return routed,
     };
-    let candidates = state.ordered_candidates(tie_hash(src, dst));
+    let candidates = state.candidates(src, dst);
     let path = format!("/score?src={src}&dst={dst}");
-    match state.forward_get(&candidates, &path, headers) {
+    match state
+        .forward(&candidates, headers, |shard, hdrs| client::get_classified(shard, &path, hdrs))
+    {
         Ok((_, resp)) => {
             // Shard verdicts (200 score, 404 unknown tie, 400) pass through
             // verbatim — the router adds routing, not semantics.
@@ -465,12 +396,12 @@ fn batch_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &s
         Err(routed) => return routed,
     };
 
-    // Group pairs by owning shard (ring candidate order is per-tie, so the
+    // Group pairs by owning shard (candidate order is per-tie, so the
     // groups also carry their failover sequences), forward each sub-batch,
     // then reassemble responses in the original request order.
     let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new(); // (candidates, pair indices)
     for (idx, p) in pairs.iter().enumerate() {
-        let candidates = state.ordered_candidates(tie_hash(p.src, p.dst));
+        let candidates = state.candidates(p.src, p.dst);
         match groups.iter_mut().find(|(c, _)| c.first() == candidates.first()) {
             Some((_, members)) => members.push(idx),
             None => groups.push((candidates, vec![idx])),
@@ -484,7 +415,14 @@ fn batch_endpoint(state: &RouterState, req: &http::Request, headers: &[(&str, &s
             body.push_str(&serde_json::to_string(&pairs[idx]).unwrap_or_default());
             body.push('\n');
         }
-        let resp = match state.forward_post(candidates, "/batch", &body, headers) {
+        // Replaying a POST on another replica is safe here even though POST
+        // is not idempotent in general: shard scoring is a pure read, so a
+        // sub-batch that died mid-flight can be re-sent without double
+        // effects.
+        let sent = state.forward(candidates, headers, |shard, hdrs| {
+            client::post_classified(shard, "/batch", &body, hdrs)
+        });
+        let resp = match sent {
             Ok((_, resp)) if resp.status == 200 => resp,
             Ok((i, resp)) => {
                 return (
@@ -676,55 +614,135 @@ impl RouterHandle {
 mod tests {
     use super::*;
 
+    fn router_over(ports: &[u16]) -> RouterState {
+        RouterState::new(&RouterConfig {
+            shards: ports.iter().map(|p| format!("127.0.0.1:{p}")).collect(),
+            ..RouterConfig::default()
+        })
+    }
+
+    /// The ties of a 100 × 100 grid: 10,000 placement keys.
+    fn grid() -> impl Iterator<Item = (u32, u32)> {
+        (0..100u32).flat_map(|src| (0..100u32).map(move |dst| (src, dst)))
+    }
+
+    /// A tie's candidate order as shard addresses.
+    fn order(router: &RouterState, src: u32, dst: u32) -> Vec<String> {
+        router.candidates(src, dst).into_iter().map(|i| router.shards[i].addr.clone()).collect()
+    }
+
     #[test]
-    fn ring_assignment_is_stable_and_complete() {
-        let shards = vec![
-            "127.0.0.1:9001".to_string(),
-            "127.0.0.1:9002".to_string(),
-            "127.0.0.1:9003".to_string(),
-        ];
-        let ring = Ring::build(&shards, 32);
-        for key in [0u64, 1, u64::MAX, tie_hash(7, 9), tie_hash(9, 7)] {
-            let c = ring.candidates(key);
-            assert_eq!(c.len(), 3, "every shard appears exactly once");
+    fn placement_is_stable_and_complete() {
+        let router = router_over(&[9001, 9002, 9003]);
+        for (src, dst) in [(0, 0), (7, 9), (9, 7), (u32::MAX, 0), (0, u32::MAX)] {
+            let c = router.candidates(src, dst);
             let mut sorted = c.clone();
             sorted.sort_unstable();
-            assert_eq!(sorted, vec![0, 1, 2]);
-            // Stable: the same key always maps to the same order.
-            assert_eq!(c, ring.candidates(key));
+            assert_eq!(sorted, vec![0, 1, 2], "every shard appears exactly once");
+            assert_eq!(c, router.candidates(src, dst), "the same tie keeps its order");
+            assert_eq!(c, router_over(&[9001, 9002, 9003]).candidates(src, dst));
         }
         // Orientation matters: (src,dst) and (dst,src) are distinct keys.
-        assert_ne!(tie_hash(7, 9), tie_hash(9, 7));
+        assert!(grid().any(|(s, d)| router.candidates(s, d)[0] != router.candidates(d, s)[0]));
+
+        // A quarantined shard drops to last resort; the others keep their
+        // relative order.
+        let c = router.candidates(7, 9);
+        router.shards[c[0]].healthy.store(false, Ordering::Release);
+        assert_eq!(router.candidates(7, 9), vec![c[1], c[2], c[0]]);
     }
 
     #[test]
     fn removing_a_shard_only_moves_its_own_keys() {
-        let three = vec![
-            "127.0.0.1:9001".to_string(),
-            "127.0.0.1:9002".to_string(),
-            "127.0.0.1:9003".to_string(),
-        ];
-        let ring3 = Ring::build(&three, 32);
-        let ring2 = Ring::build(&three[..2], 32);
-        let mut moved = 0usize;
-        let mut kept = 0usize;
-        for src in 0..40u32 {
-            for dst in 0..40u32 {
-                let key = tie_hash(src, dst);
-                let owner3 = ring3.candidates(key)[0];
-                let owner2 = ring2.candidates(key)[0];
-                if owner3 == 2 {
-                    // Keys owned by the removed shard must land somewhere.
-                    assert!(owner2 < 2);
-                } else if owner3 == owner2 {
-                    kept += 1;
-                } else {
-                    moved += 1;
+        let ports = [9001, 9002, 9003];
+        let three = router_over(&ports);
+        for gone in ports {
+            let rest: Vec<u16> = ports.into_iter().filter(|&p| p != gone).collect();
+            let two = router_over(&rest);
+            let gone = format!("127.0.0.1:{gone}");
+            let mut owned_by_gone = 0usize;
+            for (src, dst) in grid() {
+                let mut before = order(&three, src, dst);
+                owned_by_gone += usize::from(before[0] == gone);
+                before.retain(|addr| *addr != gone);
+                // Equal orders mean every key the removed shard did not own
+                // keeps its owner, and every failover sequence only loses
+                // the removed shard.
+                assert_eq!(order(&two, src, dst), before, "tie ({src},{dst}) without {gone}");
+            }
+            assert!(owned_by_gone > 0, "{gone} owned no keys");
+        }
+    }
+
+    #[test]
+    fn placement_splits_ties_evenly_over_two_and_three_shards() {
+        for ports in [[9001, 9002, 9003], [8070, 8071, 8072], [41234, 50007, 60999]] {
+            for n in [2, 3] {
+                let router = router_over(&ports[..n]);
+                let mut owned = vec![0usize; n];
+                for (src, dst) in grid() {
+                    owned[router.candidates(src, dst)[0]] += 1;
+                }
+                for (i, &count) in owned.iter().enumerate() {
+                    let share = count as f64 / 10_000.0;
+                    assert!(
+                        (share - 1.0 / n as f64).abs() <= 0.05,
+                        "ports {:?}: shard {i} owns {share:.4} of the ties",
+                        &ports[..n]
+                    );
                 }
             }
         }
-        // Consistent hashing: keys not owned by the removed shard stay put.
-        assert_eq!(moved, 0, "{moved} keys moved that should have been stable ({kept} kept)");
-        assert!(kept > 0);
+    }
+
+    /// A `send` where shard 9001 answers `first` (`Err(refused)` is a
+    /// transport error) and every other shard answers `200`.
+    fn scripted(
+        first: Result<u16, bool>,
+    ) -> impl Fn(&str, &[(&str, &str)]) -> Result<ClientResponse, client::TransportError> {
+        move |addr, _| match (addr, first) {
+            ("127.0.0.1:9001", Err(refused)) => {
+                Err(client::TransportError { refused, message: "scripted".into() })
+            }
+            ("127.0.0.1:9001", Ok(status)) => Ok(ClientResponse { status, body: String::new() }),
+            _ => Ok(ClientResponse { status: 200, body: String::new() }),
+        }
+    }
+
+    #[test]
+    fn forward_fails_over_on_503_and_transport_errors_only() {
+        let router = router_over(&[9001, 9002]);
+        // (failovers, over-capacity, transport, refused) counters.
+        let counters = || {
+            (
+                router.failovers.get(),
+                router.retry_over_capacity.get(),
+                router.retry_transport.get(),
+                router.retry_refused.get(),
+            )
+        };
+        let strikes = || router.shards[0].consecutive_failures.load(Ordering::Relaxed);
+        let answered = |first| {
+            let (i, resp) = router.forward(&[0, 1], &[], scripted(first)).expect("a shard answers");
+            (i, resp.status)
+        };
+
+        // 503: the shard is alive but over capacity. The next replica
+        // answers and the first takes no health strike.
+        assert_eq!(answered(Ok(503)), (1, 200));
+        assert_eq!((counters(), strikes()), ((1, 1, 0, 0), 0));
+
+        // A transport error strikes the shard and fails over; a refused
+        // connect is counted apart from other transport errors.
+        assert_eq!(answered(Err(false)), (1, 200));
+        assert_eq!((counters(), strikes()), ((2, 1, 1, 0), 1));
+        assert_eq!(answered(Err(true)), (1, 200));
+        assert_eq!((counters(), strikes()), ((3, 1, 1, 1), 2));
+
+        // Any other status, 500 included, is the first candidate's answer,
+        // returned verbatim: no failover, and it clears the shard's strikes.
+        assert_eq!(answered(Ok(500)), (0, 500));
+        assert_eq!((counters(), strikes()), ((3, 1, 1, 1), 0));
+        assert!(router.shards[0].is_healthy());
     }
 }

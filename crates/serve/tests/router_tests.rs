@@ -80,9 +80,9 @@ fn routed_scores_are_bit_identical_to_offline_scoring() {
     assert_eq!(client::get(&addr, "/score?src=x&dst=2").unwrap().status, 400);
     assert_eq!(client::get(&addr, "/nope").unwrap().status, 404);
 
-    // Work actually spread across the ring: more than one shard forwarded.
+    // Work actually spread over the shards: more than one shard forwarded.
     let busy = shards.iter().filter(|s| s.requests_total() > 0).count();
-    assert!(busy >= 2, "consistent hashing should spread 40 ties over 3 shards, got {busy}");
+    assert!(busy >= 2, "placement should spread 40 ties over 3 shards, got {busy}");
 
     router.shutdown();
     for s in shards {
@@ -96,7 +96,8 @@ fn batch_responses_preserve_request_order_across_shards() {
     let (shards, router) = start_fleet(&model, 3, |_| {});
     let addr = router.addr().to_string();
 
-    let ties: Vec<(u32, u32)> = model.ties().iter().copied().take(24).collect();
+    let ties: Vec<(u32, u32)> = model.ties().iter().copied().take(96).collect();
+    assert_eq!(ties.len(), 96, "the model has enough ties to split");
     let body: String = ties.iter().map(|(s, d)| format!("{{\"src\":{s},\"dst\":{d}}}\n")).collect();
     let resp = client::post(&addr, "/batch", &body).unwrap();
     assert_eq!(resp.status, 200, "body: {}", resp.body);
@@ -114,6 +115,12 @@ fn batch_responses_preserve_request_order_across_shards() {
         assert_eq!((line.src, line.dst), (src, dst), "order preserved");
         let want = model.score(NodeId(src), NodeId(dst)).unwrap();
         assert_eq!(line.score.unwrap().to_bits(), want.to_bits());
+    }
+    // The batch really was split: with even placement, the chance that one
+    // of 3 shards owns none of 96 ties is about 3·(2/3)^96 ≈ 4e-17.
+    for (i, shard) in shards.iter().enumerate() {
+        let batches = shard.registry().counter("serve.requests.batch").get();
+        assert_eq!(batches, 1, "shard {i} answered {batches} sub-batches");
     }
 
     assert_eq!(client::post(&addr, "/batch", "not json\n").unwrap().status, 400);

@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dd_graph::NodeId;
+use dd_linalg::bytes::{fnv1a64, FNV64_SEED};
 use deepdirect::{DirectionalityModel, FoldInIndex};
 
 use crate::event::{EventOp, TieEvent};
@@ -235,13 +236,13 @@ impl StreamEngine {
     /// digest serve bit-identical scores for every pair; replay tests pin
     /// batch-size and thread-count invariance on it.
     pub fn state_digest(&self) -> u64 {
-        let mut h = fnv1a64_seed();
-        h = fnv1a64_u64(h, self.model.fingerprint());
-        h = fnv1a64_u64(h, self.log.len() as u64);
+        let fold = |h: u64, x: u64| fnv1a64(&x.to_le_bytes(), h);
+        let mut h = fold(FNV64_SEED, self.model.fingerprint());
+        h = fold(h, self.log.len() as u64);
         for (&(u, v), &state) in &self.overlay {
-            h = fnv1a64_u64(h, u64::from(u));
-            h = fnv1a64_u64(h, u64::from(v));
-            h = fnv1a64_u64(
+            h = fold(h, u64::from(u));
+            h = fold(h, u64::from(v));
+            h = fold(
                 h,
                 match state {
                     Overlay::Added => 1,
@@ -251,21 +252,6 @@ impl StreamEngine {
         }
         h
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a64_seed() -> u64 {
-    FNV_OFFSET
-}
-
-fn fnv1a64_u64(mut h: u64, x: u64) -> u64 {
-    for byte in x.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -412,6 +398,16 @@ mod tests {
         assert_eq!(digests[0], digests[2], "batch 1 vs all-at-once");
         assert_eq!(score_bits[0], score_bits[1], "served bits, batch 1 vs 7");
         assert_eq!(score_bits[0], score_bits[2], "served bits, batch 1 vs all");
+    }
+
+    /// The digest's value, not only its equalities: replicas and restarts
+    /// compare it across processes, so a change to the hash chain or to
+    /// what it covers must show up here.
+    #[test]
+    fn state_digest_of_the_synthetic_replay_is_pinned() {
+        let (g, model) = trained_model(45);
+        let engine = StreamEngine::replay(Arc::clone(&model), &synthetic_log(&g, &model));
+        assert_eq!(engine.state_digest(), 0x74ee_8689_45ad_70a8);
     }
 
     #[test]
