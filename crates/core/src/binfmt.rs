@@ -405,6 +405,12 @@ fn normalize_endianness(buf: &mut AlignedBuf, ranges: &[Range<usize>]) {
     let _ = (buf, ranges);
 }
 
+/// Floats the finiteness scan tests per branch.
+const FINITE_CHUNK: usize = 64;
+
+/// Checks a float block's shape and that every value is finite. The scan
+/// ORs a branch-free test over each [`FINITE_CHUNK`] values, so it
+/// vectorizes, and looks for the exact element only in a chunk that fails.
 fn check_f32_block(
     bytes: &[u8],
     range: Range<usize>,
@@ -416,8 +422,16 @@ fn check_f32_block(
     if floats.len() != expected {
         return Err(BinaryFormatError::ShapeMismatch { name, expected, got: floats.len() });
     }
-    if let Some(index) = floats.iter().position(|v| !v.is_finite()) {
-        return Err(BinaryFormatError::NonFinite { name, index });
+    const EXPONENT: u32 = 0x7F80_0000;
+    for (c, chunk) in floats.chunks(FINITE_CHUNK).enumerate() {
+        // NaN and ±inf are the values whose exponent bits are all set: only
+        // there does adding one to the exponent carry into the sign bit.
+        let carries = chunk.iter().fold(0, |acc, v| acc | ((v.to_bits() & EXPONENT) + (1 << 23)));
+        if carries & 0x8000_0000 != 0 {
+            let at =
+                chunk.iter().position(|v| !v.is_finite()).expect("a value of the chunk failed");
+            return Err(BinaryFormatError::NonFinite { name, index: c * FINITE_CHUNK + at });
+        }
     }
     Ok(())
 }

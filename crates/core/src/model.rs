@@ -170,17 +170,24 @@ fn pair_index_of(ties: &[(u32, u32)]) -> FxHashMap<(u32, u32), u32> {
 }
 
 /// XXH64 fingerprint over everything that affects scores, in a fixed field
-/// order: shapes, ties (a pair at a time), the embedding and context blocks,
-/// the head's JSON. Recomputed from the bytes on every fit and every load,
-/// never read from a file. Per-process identity (native-endian block
-/// bytes), not a portable digest — the binary format's CRC-32 sections
-/// cover on-disk integrity.
+/// order: shapes, ties (each pair as one little-endian u64, `src` low), the
+/// embedding and context blocks, the head's JSON. Recomputed from the bytes
+/// on every fit and every load, never read from a file. Per-process
+/// identity (native-endian block bytes), not a portable digest — the binary
+/// format's CRC-32 sections cover on-disk integrity.
 fn fingerprint_of(store: &TieStore, ties: &[(u32, u32)], head: &DirectionalityHead) -> u64 {
     let mut h = Xxh64::new(0);
     h.update(&(store.dim() as u64).to_le_bytes());
     h.update(&(store.rows() as u64).to_le_bytes());
-    for &(u, v) in ties {
-        h.update(&(u64::from(u) | u64::from(v) << 32).to_le_bytes());
+    // The ties 4 KiB at a time: the bytes of one 8-byte update per tie
+    // (streamed XXH64 does not depend on how the input is split), without a
+    // call per tie.
+    let mut block = [0u8; 4096];
+    for chunk in ties.chunks(block.len() / 8) {
+        for (out, &(u, v)) in block.chunks_exact_mut(8).zip(chunk) {
+            out.copy_from_slice(&(u64::from(u) | u64::from(v) << 32).to_le_bytes());
+        }
+        h.update(&block[..chunk.len() * 8]);
     }
     h.update(store.embedding_bytes());
     if let Some(c) = store.context_bytes() {
@@ -609,6 +616,59 @@ mod tests {
         assert_eq!(E::MissingSection("meta").to_string(), "missing required section 'meta'");
         // And the pristine file still loads.
         assert!(decode(&valid).is_ok());
+    }
+
+    #[test]
+    fn finiteness_scan_names_the_exact_section_and_element() {
+        use crate::binfmt::{self, section, BinaryFormatError as E, ENTRY_LEN, HEADER_LEN};
+        use dd_linalg::bytes::crc32;
+        let gen_cfg = SocialNetConfig { n_nodes: 60, ..Default::default() };
+        let mut grng = StdRng::seed_from_u64(20);
+        let net = social_network(&gen_cfg, &mut grng).network;
+        let cfg = DeepDirectConfig {
+            dim: 12,
+            max_iterations: Some(5_000),
+            context_features: true,
+            ..DeepDirectConfig::default()
+        };
+        let model = DeepDirect::new(cfg).fit(&net);
+        let mut valid = Vec::new();
+        model.save_binary(&mut valid).unwrap();
+        let read_u64 = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let n_sections = u32::from_le_bytes(valid[16..20].try_into().unwrap()) as usize;
+        let table = HEADER_LEN..HEADER_LEN + n_sections * ENTRY_LEN;
+        // Writes `value` at float `index` of section `kind` and fixes up the
+        // section and table checksums, so only the finiteness scan can fire.
+        let poison = |kind: u32, index: usize, value: f32| {
+            let mut bad = valid.clone();
+            let entry = table
+                .clone()
+                .step_by(ENTRY_LEN)
+                .find(|&e| u32::from_le_bytes(bad[e..e + 4].try_into().unwrap()) == kind)
+                .unwrap();
+            let off = read_u64(&bad, entry + 8) as usize;
+            let len = read_u64(&bad, entry + 16) as usize;
+            bad[off + 4 * index..off + 4 * index + 4].copy_from_slice(&value.to_le_bytes());
+            let crc = crc32(&bad[off..off + len]);
+            bad[entry + 4..entry + 8].copy_from_slice(&crc.to_le_bytes());
+            let crc = crc32(&bad[table.clone()]);
+            bad[20..24].copy_from_slice(&crc.to_le_bytes());
+            binfmt::decode(AlignedBuf::from_slice(&bad)).err()
+        };
+        let last = model.n_ties() * model.dim() - 1;
+        assert_ne!((last + 1) % 64, 0, "the last chunk should be a partial one");
+        for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for index in [0, 63, 64, 65, last] {
+                let want = E::NonFinite { name: "embeddings", index };
+                assert_eq!(poison(section::EMB, index, value), Some(want), "{value} at {index}");
+            }
+            let want = E::NonFinite { name: "contexts", index: 65 };
+            assert_eq!(poison(section::CTX, 65, value), Some(want), "{value} in contexts");
+        }
+        // The extreme finite values pass.
+        for value in [f32::MAX, f32::MIN, f32::MIN_POSITIVE, -0.0] {
+            assert_eq!(poison(section::EMB, 64, value), None, "{value}");
+        }
     }
 
     #[test]

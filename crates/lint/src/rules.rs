@@ -524,33 +524,40 @@ fn unwind_confinement(path: &str, _sc: Scope, toks: &[Tok], out: &mut Vec<Violat
 }
 
 /// `binary-io`: the slice-reinterpretation primitives (`from_raw_parts`,
-/// `from_raw_parts_mut`, `transmute`) are confined to the one audited
-/// byte-cast module, `crates/linalg/src/bytes.rs` (DESIGN.md §7.13). All
-/// other code borrows typed slices from `AlignedBuf` through its checked
-/// cast helpers; the E-Step's Hogwild raw-pointer writes are a separately
-/// audited mechanism that never reinterprets memory, so it does not need
-/// these tokens. Applies to test code too — byte-cast discipline is global.
+/// `from_raw_parts_mut`, `transmute`) and CPU-specific code
+/// (`target_feature`, `is_x86_feature_detected`) are confined to the one
+/// audited byte module, `crates/linalg/src/bytes.rs` (DESIGN.md §7.13),
+/// home of the CRC-32's carry-less-multiply kernel. All other code borrows
+/// typed slices from `AlignedBuf` through its checked cast helpers; the
+/// E-Step's Hogwild raw-pointer writes are a separately audited mechanism
+/// that never reinterprets memory, so it does not need these tokens.
+/// Applies to test code too — byte-cast discipline is global.
 fn binary_io(path: &str, _sc: Scope, toks: &[Tok], out: &mut Vec<Violation>) {
     if path == "crates/linalg/src/bytes.rs" {
         return;
     }
     for t in toks {
-        if is_ident(t, "from_raw_parts")
+        let what = if is_ident(t, "from_raw_parts")
             || is_ident(t, "from_raw_parts_mut")
             || is_ident(t, "transmute")
         {
-            push(
-                out,
-                path,
-                t.line,
-                "binary-io",
-                format!(
-                    "{} outside crates/linalg/src/bytes.rs; slice reinterpretation is confined \
-                     to the one audited byte-cast module (DESIGN.md §7.13)",
-                    t.text
-                ),
-            );
-        }
+            "slice reinterpretation"
+        } else if is_ident(t, "target_feature") || is_ident(t, "is_x86_feature_detected") {
+            "CPU-specific (SIMD) code"
+        } else {
+            continue;
+        };
+        push(
+            out,
+            path,
+            t.line,
+            "binary-io",
+            format!(
+                "{} outside crates/linalg/src/bytes.rs; {what} is confined to the one audited \
+                 byte module (DESIGN.md §7.13)",
+                t.text
+            ),
+        );
     }
 }
 

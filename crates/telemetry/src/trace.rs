@@ -1,10 +1,11 @@
 //! Deterministic 64-bit trace/span identifiers and the process time epoch.
 //!
-//! IDs are derived with FNV-1a from *logical* inputs only — the config seed,
-//! span names, and per-parent child indices — never from wall-clock time or
-//! OS randomness. Two runs of the same training config therefore produce the
-//! same trace tree with the same IDs, which keeps telemetry diffable and lets
-//! tests assert on exact parentage. Serving derives per-request trace IDs
+//! IDs are derived with FNV-1a ([`dd_linalg::bytes::fnv1a64`]) from
+//! *logical* inputs only — the config seed, span names, and per-parent child
+//! indices — never from wall-clock time or OS randomness. Two runs of the
+//! same training config therefore produce the same trace tree with the same
+//! IDs, which keeps telemetry diffable and lets tests assert on exact
+//! parentage. Serving derives per-request trace IDs
 //! from a seeded request counter, or adopts the ID offered by a
 //! `traceparent`-style request header (W3C Trace Context shape, low 64 bits).
 //!
@@ -14,23 +15,13 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes`, continuing from hash state `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+use dd_linalg::bytes::{fnv1a64, FNV64_SEED};
 
 /// Maps the all-zero ID (reserved as "absent" by trace-context conventions)
 /// to a fixed non-zero value.
 fn nonzero(id: u64) -> u64 {
     if id == 0 {
-        FNV_OFFSET
+        FNV64_SEED
     } else {
         id
     }
@@ -51,8 +42,8 @@ pub struct SpanContext {
 /// Deterministic: the same `(seed, name)` always yields the same ID, so a
 /// re-run of `dd train --seed 7` carries the same trace ID as the last one.
 pub fn derive_trace_id(seed: u64, name: &str) -> u64 {
-    let h = fnv1a(FNV_OFFSET, &seed.to_le_bytes());
-    nonzero(fnv1a(h, name.as_bytes()))
+    let h = fnv1a64(&seed.to_le_bytes(), FNV64_SEED);
+    nonzero(fnv1a64(name.as_bytes(), h))
 }
 
 /// Derives a span ID from its trace, parent span, name, and the 0-based
@@ -60,10 +51,10 @@ pub fn derive_trace_id(seed: u64, name: &str) -> u64 {
 /// same-named children (pool calls, epochs) distinct; including the parent
 /// keeps equal subtrees under different parents distinct.
 pub fn derive_span_id(trace_id: u64, parent_span_id: u64, name: &str, child_index: u64) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &trace_id.to_le_bytes());
-    h = fnv1a(h, &parent_span_id.to_le_bytes());
-    h = fnv1a(h, name.as_bytes());
-    nonzero(fnv1a(h, &child_index.to_le_bytes()))
+    let mut h = fnv1a64(&trace_id.to_le_bytes(), FNV64_SEED);
+    h = fnv1a64(&parent_span_id.to_le_bytes(), h);
+    h = fnv1a64(name.as_bytes(), h);
+    nonzero(fnv1a64(&child_index.to_le_bytes(), h))
 }
 
 /// Formats an ID as 16 lowercase hex digits (the JSONL wire form).
@@ -142,6 +133,14 @@ mod tests {
         assert_ne!(derive_trace_id(42, "model.fit"), derive_trace_id(43, "model.fit"));
         assert_ne!(derive_trace_id(42, "model.fit"), derive_trace_id(42, "serve"));
         assert_ne!(derive_trace_id(0, ""), 0, "IDs must never be the reserved zero");
+    }
+
+    #[test]
+    fn ids_are_pinned() {
+        // Trace files of earlier runs stay joinable by ID.
+        let t = derive_trace_id(0xdeed, "model.fit");
+        assert_eq!(t, 0xe42f_46b7_4951_2682);
+        assert_eq!(derive_span_id(t, 0, "estep.train", 3), 0xba0e_7ca5_bd81_090d);
     }
 
     #[test]
