@@ -5,15 +5,21 @@
 //! (Eq. 9). Both are fixed during training, so an alias table amortizes the
 //! construction cost into constant-time draws.
 
-use serde::{Deserialize, Serialize};
-
+use crate::bytes::advise_huge_pages;
 use crate::rng::Pcg32;
 
+/// One outcome's column of the table: keep it with probability `prob`,
+/// else take `alias`. Packed together so a draw reads one cache line.
+#[derive(Debug, Clone, Copy)]
+struct AliasEntry {
+    prob: f32,
+    alias: u32,
+}
+
 /// Precomputed alias table over `n` outcomes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AliasTable {
-    prob: Vec<f32>,
-    alias: Vec<u32>,
+    entries: Vec<AliasEntry>,
 }
 
 impl AliasTable {
@@ -55,7 +61,12 @@ impl AliasTable {
         for i in small.into_iter().chain(large) {
             prob[i as usize] = 1.0;
         }
-        AliasTable { prob: prob.into_iter().map(|p| p as f32).collect(), alias }
+        // Sampled at random indices all through the E-Step.
+        let mut entries = Vec::with_capacity(n);
+        advise_huge_pages(entries.spare_capacity_mut());
+        entries
+            .extend(prob.iter().zip(alias).map(|(&p, alias)| AliasEntry { prob: p as f32, alias }));
+        AliasTable { entries }
     }
 
     /// Builds the word2vec noise distribution `P_n ∝ w^{3/4}` from raw
@@ -72,22 +83,23 @@ impl AliasTable {
 
     /// Number of outcomes.
     pub fn len(&self) -> usize {
-        self.prob.len()
+        self.entries.len()
     }
 
     /// Whether the table is empty (never true for a constructed table).
     pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
+        self.entries.is_empty()
     }
 
     /// Draws one outcome index in O(1).
     #[inline]
     pub fn sample(&self, rng: &mut Pcg32) -> usize {
-        let i = rng.gen_range(self.prob.len());
-        if rng.next_f32() < self.prob[i] {
+        let i = rng.gen_range(self.entries.len());
+        let AliasEntry { prob, alias } = self.entries[i];
+        if rng.next_f32() < prob {
             i
         } else {
-            self.alias[i] as usize
+            alias as usize
         }
     }
 }
@@ -95,6 +107,114 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The table as it was before packing: `prob` and `alias` as two
+    /// arrays, built and sampled by the same steps.
+    struct TwoArrayAlias {
+        prob: Vec<f32>,
+        alias: Vec<u32>,
+    }
+
+    impl TwoArrayAlias {
+        fn new(weights: &[f64]) -> Self {
+            let total: f64 = weights.iter().sum();
+            let n = weights.len();
+            let scale = n as f64 / total;
+            let mut prob: Vec<f64> = weights.iter().map(|w| w * scale).collect();
+            let mut alias = vec![0u32; n];
+            let mut small: Vec<u32> = Vec::with_capacity(n);
+            let mut large: Vec<u32> = Vec::with_capacity(n);
+            for (i, &p) in prob.iter().enumerate() {
+                if p < 1.0 {
+                    small.push(i as u32);
+                } else {
+                    large.push(i as u32);
+                }
+            }
+            while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+                alias[s as usize] = l;
+                prob[l as usize] = (prob[l as usize] + prob[s as usize]) - 1.0;
+                if prob[l as usize] < 1.0 {
+                    small.push(l);
+                } else {
+                    large.push(l);
+                }
+            }
+            for i in small.into_iter().chain(large) {
+                prob[i as usize] = 1.0;
+            }
+            TwoArrayAlias { prob: prob.into_iter().map(|p| p as f32).collect(), alias }
+        }
+
+        fn unigram_pow(weights: &[f64], power: f64) -> Self {
+            let powered: Vec<f64> = weights.iter().map(|w| w.powf(power)).collect();
+            if powered.iter().all(|&w| crate::float::is_zero(w)) {
+                return Self::new(&vec![1.0; weights.len()]);
+            }
+            Self::new(&powered)
+        }
+
+        fn sample(&self, rng: &mut Pcg32) -> usize {
+            let i = rng.gen_range(self.prob.len());
+            if rng.next_f32() < self.prob[i] {
+                i
+            } else {
+                self.alias[i] as usize
+            }
+        }
+    }
+
+    /// Draws `draws` indices from both tables off one seed each and checks
+    /// the sequences and the RNG states they leave agree.
+    fn assert_same_draws(packed: &AliasTable, reference: &TwoArrayAlias, seed: u64, draws: usize) {
+        let mut a = Pcg32::seed_from_u64(seed);
+        let mut b = Pcg32::seed_from_u64(seed);
+        for k in 0..draws {
+            assert_eq!(packed.sample(&mut a), reference.sample(&mut b), "draw {k}, seed {seed}");
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "RNG streams diverged");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn packed_sample_matches_two_array_reference(
+            weights in proptest::collection::vec(0.0f64..10.0, 1..64),
+            zeros in proptest::collection::vec(0u8..2, 64..=64),
+            seed in 0u64..u64::MAX,
+        ) {
+            // Zero out a random subset, keeping at least one outcome live.
+            let mut weights = weights;
+            for (w, &z) in weights.iter_mut().zip(&zeros) {
+                if z == 1 {
+                    *w = 0.0;
+                }
+            }
+            if weights.iter().all(|&w| crate::float::is_zero(w)) {
+                weights[0] = 1.0;
+            }
+            assert_same_draws(&AliasTable::new(&weights), &TwoArrayAlias::new(&weights), seed, 500);
+            assert_same_draws(
+                &AliasTable::unigram_pow(&weights, 0.75),
+                &TwoArrayAlias::unigram_pow(&weights, 0.75),
+                seed,
+                500,
+            );
+        }
+
+        #[test]
+        fn packed_unigram_all_zero_fallback_matches_reference(n in 1usize..40, seed in 0u64..u64::MAX) {
+            let weights = vec![0.0; n];
+            assert_same_draws(
+                &AliasTable::unigram_pow(&weights, 0.75),
+                &TwoArrayAlias::unigram_pow(&weights, 0.75),
+                seed,
+                200,
+            );
+        }
+    }
 
     fn empirical(table: &AliasTable, n: usize, draws: usize, seed: u64) -> Vec<f64> {
         let mut rng = Pcg32::seed_from_u64(seed);

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::bytes::advise_huge_pages;
 use crate::rng::Pcg32;
 
 /// A dense row-major `f32` matrix.
@@ -16,17 +17,25 @@ pub struct DenseMatrix {
 }
 
 impl DenseMatrix {
-    /// Creates a zero matrix of the given shape.
+    /// Creates a zero matrix of the given shape, on 2 MiB pages when it is
+    /// large enough ([`advise_huge_pages`]): the E-Step's `N` is read a
+    /// row at a time at random.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        DenseMatrix { rows, cols, data: vec![0.0; rows * cols] }
+        // A fresh calloc: no page is touched until the first write.
+        let mut data = vec![0.0; rows * cols];
+        advise_huge_pages(&mut data);
+        DenseMatrix { rows, cols, data }
     }
 
     /// Creates a matrix with entries drawn uniformly from
     /// `[-0.5/cols, 0.5/cols)` — the word2vec embedding initialization the
-    /// paper's skip-gram-style E-Step inherits.
+    /// paper's skip-gram-style E-Step inherits. Like [`Self::zeros`], the
+    /// buffer is advised onto 2 MiB pages before it is filled.
     pub fn uniform_init(rows: usize, cols: usize, rng: &mut Pcg32) -> Self {
         let inv = 1.0f32 / cols as f32;
-        let data = (0..rows * cols).map(|_| (rng.next_f32() - 0.5) * inv).collect();
+        let mut data = Vec::with_capacity(rows * cols);
+        advise_huge_pages(data.spare_capacity_mut());
+        data.extend((0..rows * cols).map(|_| (rng.next_f32() - 0.5) * inv));
         DenseMatrix { rows, cols, data }
     }
 

@@ -524,11 +524,13 @@ fn unwind_confinement(path: &str, _sc: Scope, toks: &[Tok], out: &mut Vec<Violat
 }
 
 /// `binary-io`: the slice-reinterpretation primitives (`from_raw_parts`,
-/// `from_raw_parts_mut`, `transmute`) and CPU-specific code
-/// (`target_feature`, `is_x86_feature_detected`) are confined to the one
-/// audited byte module, `crates/linalg/src/bytes.rs` (DESIGN.md §7.13),
-/// home of the CRC-32's carry-less-multiply kernel. All other code borrows
-/// typed slices from `AlignedBuf` through its checked cast helpers; the
+/// `from_raw_parts_mut`, `transmute`), CPU-specific code (`target_feature`,
+/// `is_x86_feature_detected`) and page advice (`madvise`, its FFI
+/// declaration and its call) are confined to the one audited byte module,
+/// `crates/linalg/src/bytes.rs` (DESIGN.md §7.13), home of the CRC-32's
+/// carry-less-multiply kernel and of `advise_huge_pages` (§7.9). All other
+/// code borrows typed slices from `AlignedBuf` through its checked cast
+/// helpers and asks for huge pages through `advise_huge_pages`; the
 /// E-Step's Hogwild raw-pointer writes are a separately audited mechanism
 /// that never reinterprets memory, so it does not need these tokens.
 /// Applies to test code too — byte-cast discipline is global.
@@ -544,6 +546,8 @@ fn binary_io(path: &str, _sc: Scope, toks: &[Tok], out: &mut Vec<Violation>) {
             "slice reinterpretation"
         } else if is_ident(t, "target_feature") || is_ident(t, "is_x86_feature_detected") {
             "CPU-specific (SIMD) code"
+        } else if is_ident(t, "madvise") {
+            "page advice"
         } else {
             continue;
         };

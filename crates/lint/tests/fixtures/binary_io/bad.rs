@@ -1,5 +1,5 @@
-//! Deliberate violations: slice reinterpretation and CPU-specific code
-//! outside the audited module.
+//! Deliberate violations: slice reinterpretation, CPU-specific code and
+//! page advice outside the audited module.
 
 /// Reinterprets a byte buffer as floats without the checked helpers.
 pub fn cast(bytes: &[u8]) -> &[f32] {
@@ -22,4 +22,12 @@ pub fn simd(x: u32) -> u32 {
 #[cfg(target_arch = "x86_64")]
 pub fn detect() -> bool {
     std::is_x86_feature_detected!("pclmulqdq")
+}
+
+/// Asks for huge pages behind the audited helper's back.
+pub fn advise(buf: &mut [u8]) -> i32 {
+    extern "C" {
+        fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+    unsafe { madvise(buf.as_mut_ptr(), buf.len(), 14) }
 }

@@ -58,7 +58,7 @@ fn binary_io_fires_outside_the_audited_module() {
     let report =
         check_file("crates/core/src/fixture.rs", include_str!("fixtures/binary_io/bad.rs"));
     let expected: Vec<(u32, String)> =
-        [6, 11, 16, 24].iter().map(|&line| (line, "binary-io".to_string())).collect();
+        [6, 11, 16, 24, 30, 32].iter().map(|&line| (line, "binary-io".to_string())).collect();
     assert_eq!(hits(&report), expected);
     // The rule patrols test files too — byte-cast discipline is global.
     let report =
