@@ -21,20 +21,26 @@
 //! access goes through raw-pointer reads/writes so no aliased `&mut`
 //! references are ever formed.
 //!
-//! ## Draw-ahead
+//! ## Staged draws
 //!
 //! Each iteration gathers ~8 random rows (`M[e]`, `N[e']`, `λ` negatives'
 //! `N` rows, plus two `M` rows per triad sample on undirected ties), so the
 //! loop is bound by memory latency, not arithmetic. An iteration is
-//! therefore split in two. `Draw::draw` does all of its RNG consumption in
-//! the original order (`e`, `e'`, then the negatives) and prefetches the
-//! rows and the triad list it names. `apply` is the update arithmetic. One
-//! worker loop, `run_worker`, keeps a ring of `DRAW_AHEAD` draws: at step
-//! `it` it prefetches the triad rows of draw `it + TRIAD_AHEAD`, draws
-//! iteration `it + DRAW_AHEAD` and applies draw `it`. `apply` consumes no
-//! randomness and a prefetch moves cache lines, not values, so a
-//! sequential fit is bit-identical to one that draws and applies in turn
-//! (DESIGN.md §7.9, "Latency-hidden SGD").
+//! therefore split into stages. `Draw::draw` (stage 1) does all of its RNG
+//! consumption in the original order (`e`, `e'`'s slot, then the
+//! negatives), reading only the alias entries and `e`'s draw record, and
+//! prefetches what the draw names. `Draw::resolve` (stage 2) reads `e'` and
+//! `e`'s tie and prefetches `N[e']` and the triad list. `apply` is the
+//! update arithmetic. One worker loop, `run_worker`, keeps a ring of
+//! `DRAW_AHEAD` draws: at step `it` it prefetches the triad rows of draw
+//! `it + TRIAD_AHEAD`, resolves draw `it + RESOLVE_AHEAD`, draws iteration
+//! `it + DRAW_AHEAD` and applies draw `it`. Before each stage-1 draw a
+//! speculative look-ahead jumps copies of the RNG whole iterations ahead to
+//! prefetch the alias entries and the record later draws will read first.
+//! Only `draw` moves the worker's RNG, `apply` consumes no randomness, and
+//! a prefetch moves cache lines, not values, so a sequential fit is
+//! bit-identical to one that draws and applies in turn (DESIGN.md §7.9,
+//! "Latency-hidden SGD").
 //!
 //! ## Progress telemetry
 //!
@@ -53,7 +59,7 @@ use dd_linalg::activations::sigmoid;
 use dd_linalg::alias::AliasTable;
 use dd_linalg::kernels::prefetch;
 use dd_linalg::matrix::DenseMatrix;
-use dd_linalg::rng::Pcg32;
+use dd_linalg::rng::{Jump, Pcg32};
 use dd_runtime::{split_streams, Latch};
 use dd_telemetry::EStepProgress;
 
@@ -133,66 +139,151 @@ impl RawParams {
     }
 }
 
-/// How many iterations ahead of the update a worker draws its samples
-/// (see the module docs): four iterations of arithmetic cover one DRAM
-/// round trip for the ~8 rows a draw names. It is a constant because the
-/// RNG stream does not depend on it, so no value would change with it.
-const DRAW_AHEAD: usize = 4;
+/// How many iterations ahead of the update a worker takes its random
+/// numbers (stage 1, [`Draw::draw`]). Deep enough that the rows, out-tie
+/// slot and tie it names land before stage 2 and the update read them. It
+/// is a constant because the RNG stream does not depend on it, so no value
+/// would change with it.
+const DRAW_AHEAD: usize = 8;
+
+/// How many iterations ahead of the update stage 2 ([`Draw::resolve`])
+/// reads `e' = out_ties[slot]` and `e`'s tie, both prefetched by stage 1.
+const RESOLVE_AHEAD: usize = 4;
 
 /// How many iterations ahead of the update a worker prefetches the
-/// triad-sample rows `M[uw]`, `M[vw]`. Half of [`DRAW_AHEAD`]: their indices
-/// come from the triad list the draw prefetched, which has to land first.
+/// triad-sample rows `M[uw]`, `M[vw]`. Half of [`RESOLVE_AHEAD`]: their
+/// indices come from the triad list stage 2 prefetched, which has to land
+/// first.
 const TRIAD_AHEAD: usize = 2;
+
+/// How many iterations past the one it draws a worker guesses the `P_c`
+/// and `P_n` columns of, to prefetch their alias entries.
+const FAR_AHEAD: u64 = 10;
+
+/// How many iterations past the one it draws a worker guesses the tie
+/// `e ~ P_c` of, from the alias entry [`FAR_AHEAD`] fetched, to prefetch
+/// that tie's draw record.
+const NEAR_AHEAD: u64 = 4;
+
+/// What a worker's draws read: the universe, both sampling tables, the
+/// configuration, and the RNG jumps of the speculative look-ahead.
+///
+/// An iteration whose `e'` is accepted at once uses `5 + 3λ` RNG words: 3
+/// for `e ~ P_c` (`gen_range`, then `next_f32`), 2 for `e'`, 3 per
+/// negative. A copy of the worker's RNG jumped by whole iterations of that
+/// length therefore predicts the later iterations' draws unless a rejection
+/// happens in between. A wrong guess costs a wasted prefetch, never a value:
+/// the copies are thrown away and the worker's own RNG never moves.
+struct Sampler<'u> {
+    universe: &'u TieUniverse,
+    pc: &'u AliasTable,
+    pn: &'u AliasTable,
+    cfg: &'u DeepDirectConfig,
+    /// The jump to the `P_c` draw of iteration `+FAR_AHEAD`.
+    far_pc: Jump,
+    /// The jumps to that iteration's `P_n` draws, one per negative.
+    far_pn: Vec<Jump>,
+    /// The jump to the `P_c` draw of iteration `+NEAR_AHEAD`.
+    near_pc: Jump,
+}
+
+impl<'u> Sampler<'u> {
+    fn new(
+        universe: &'u TieUniverse,
+        pc: &'u AliasTable,
+        pn: &'u AliasTable,
+        cfg: &'u DeepDirectConfig,
+        rng: &Pcg32,
+    ) -> Self {
+        let words = 5 + 3 * cfg.negatives as u64;
+        let far = FAR_AHEAD * words;
+        Sampler {
+            universe,
+            pc,
+            pn,
+            cfg,
+            far_pc: rng.jump(far),
+            far_pn: (0..cfg.negatives as u64).map(|k| rng.jump(far + 5 + 3 * k)).collect(),
+            near_pc: rng.jump(NEAR_AHEAD * words),
+        }
+    }
+
+    /// Prefetches what the draws [`FAR_AHEAD`] and [`NEAR_AHEAD`]
+    /// iterations after the one `rng` is about to draw will read first,
+    /// guessing that no rejection happens in between: the far iteration's
+    /// `P_c` and `P_n` alias entries, and the near iteration's tie record
+    /// (its `P_c` entry was fetched as a far guess). Reads only the alias
+    /// tables; `rng` does not move.
+    fn look_ahead(&self, rng: &Pcg32) {
+        self.pc.prefetch_column(self.pc.column(&mut rng.jumped(&self.far_pc)));
+        for j in &self.far_pn {
+            self.pn.prefetch_column(self.pn.column(&mut rng.jumped(j)));
+        }
+        let mut near = rng.jumped(&self.near_pc);
+        let i = self.pc.column(&mut near);
+        self.universe.prefetch_record(self.pc.resolve(i, near.next_f32()));
+    }
+}
 
 /// The samples of one SGD iteration (Algorithm 1, line 13): `e ~ P_c`, its
 /// connected tie `e'` and the `λ` negatives from `P_n`.
 struct Draw<'u> {
     e: usize,
-    /// `None` when `deg_tie(e) = 0` (zero `P_c` mass; defensive only): the
-    /// iteration is then a no-op and draws no negatives.
+    /// Where `e'` sits in the out-tie CSR; `None` when `deg_tie(e) = 0`
+    /// (zero `P_c` mass; defensive only): the iteration is then a no-op and
+    /// draws no negatives.
+    slot: Option<usize>,
+    /// `e'`, read from `slot` by [`Draw::resolve`].
     ep: Option<usize>,
     /// Every drawn negative, including any equal to `e'` (skipped when
     /// applied, as drawing the positive as noise would cancel it).
     negatives: Vec<usize>,
     /// `e`'s triad samples when the pattern term will read them (unlabeled
-    /// undirected tie, `β > 0`), else empty.
+    /// undirected tie, `β > 0`), else empty. Set by [`Draw::resolve`].
     triads: &'u [(u32, u32)],
 }
 
 impl<'u> Draw<'u> {
     fn with_capacity(negatives: usize) -> Self {
-        Draw { e: 0, ep: None, negatives: Vec::with_capacity(negatives), triads: &[] }
+        Draw { e: 0, slot: None, ep: None, negatives: Vec::with_capacity(negatives), triads: &[] }
     }
 
-    /// Draws the next iteration's samples into `self`, consuming `rng`
-    /// exactly as the iteration always has: `e`, then `e'`, then (only when
-    /// `e'` exists) the `λ` negatives. Prefetches every row the update will
-    /// read and `e`'s triad list; reads no parameter value.
-    fn draw(
-        &mut self,
-        raw: &RawParams,
-        universe: &'u TieUniverse,
-        pc: &AliasTable,
-        pn: &AliasTable,
-        cfg: &DeepDirectConfig,
-        rng: &mut Pcg32,
-    ) {
+    /// Stage 1: draws the next iteration's samples into `self`, consuming
+    /// `rng` exactly as the iteration always has: `e`, then `e'`'s slot,
+    /// then (only when `e'` exists) the `λ` negatives. Of memory it reads
+    /// only the alias entries and `e`'s record, which the look-ahead
+    /// fetched; it prefetches `out_ties[slot]`, the tie `e`, `M[e]` and the
+    /// negatives' `N` rows. Reads no parameter value.
+    fn draw(&mut self, raw: &RawParams, s: &Sampler<'u>, rng: &mut Pcg32) {
+        s.look_ahead(rng);
         let dim = raw.dim;
-        self.e = pc.sample(rng);
-        self.ep = universe.sample_connected(self.e, rng);
+        self.e = s.pc.sample(rng);
+        self.slot = s.universe.sample_slot(self.e, rng);
+        self.ep = None;
         self.negatives.clear();
         self.triads = &[];
-        let Some(ep) = self.ep else { return };
+        let Some(slot) = self.slot else { return };
+        s.universe.prefetch_slot(slot);
+        s.universe.prefetch_tie(self.e);
         prefetch(raw.m_row(self.e), dim);
-        prefetch(raw.n_row(ep), dim);
-        for _ in 0..cfg.negatives {
-            let ei = pn.sample(rng);
+        for _ in 0..s.cfg.negatives {
+            let ei = s.pn.sample(rng);
             prefetch(raw.n_row(ei), dim);
             self.negatives.push(ei);
         }
-        let tie = universe.tie(self.e);
-        if tie.label.is_none() && tie.kind == UniverseKind::Undirected && cfg.beta > 0.0 {
-            self.triads = universe.triad_samples(self.e);
+    }
+
+    /// Stage 2: reads `e'` off its slot and prefetches `N[e']`; reads `e`'s
+    /// tie and, when the pattern term applies, takes and prefetches its
+    /// triad list. Consumes no randomness.
+    fn resolve(&mut self, raw: &RawParams, s: &Sampler<'u>) {
+        let Some(slot) = self.slot else { return };
+        let ep = s.universe.out_tie_at(slot);
+        prefetch(raw.n_row(ep), raw.dim);
+        self.ep = Some(ep);
+        let tie = s.universe.tie(self.e);
+        if tie.label.is_none() && tie.kind == UniverseKind::Undirected && s.cfg.beta > 0.0 {
+            self.triads = s.universe.triad_samples(self.e);
             prefetch(self.triads.as_ptr().cast(), 2 * self.triads.len());
         }
     }
@@ -291,11 +382,12 @@ unsafe fn apply(
 }
 
 /// One worker's SGD loop: `budget` iterations of Algorithm 1 at a rate
-/// decayed linearly over the budget, drawing [`DRAW_AHEAD`] iterations
-/// ahead of the update and prefetching triad rows [`TRIAD_AHEAD`] ahead
-/// (module docs). After each iteration it calls `after(done)` with the
-/// number of iterations applied so far. Both the sequential and the
-/// Hogwild path run this loop.
+/// decayed linearly over the budget, in stages (module docs): it draws
+/// [`DRAW_AHEAD`] iterations ahead of the update, resolves `e'`
+/// [`RESOLVE_AHEAD`] ahead and prefetches triad rows [`TRIAD_AHEAD`] ahead.
+/// After each iteration it calls `after(done)` with the number of
+/// iterations applied so far. Both the sequential and the Hogwild path run
+/// this loop.
 ///
 /// # Safety
 /// As for [`apply`]: `raw` names live buffers, and concurrent callers race
@@ -312,21 +404,29 @@ unsafe fn run_worker(
     rng: &mut Pcg32,
     mut after: impl FnMut(u64),
 ) {
+    let sampler = Sampler::new(universe, pc, pn, cfg, rng);
     let mut grad = vec![0.0f32; raw.dim];
     let mut current = Draw::with_capacity(cfg.negatives);
     // `ring[it % DRAW_AHEAD]` holds the draw for iteration `it` until it is
     // taken, then the draw for `it + DRAW_AHEAD`.
     let mut ring: [Draw<'_>; DRAW_AHEAD] =
         std::array::from_fn(|_| Draw::with_capacity(cfg.negatives));
-    for slot in ring.iter_mut().take(budget.min(DRAW_AHEAD as u64) as usize) {
-        slot.draw(raw, universe, pc, pn, cfg, rng);
+    let primed = budget.min(DRAW_AHEAD as u64) as usize;
+    for slot in ring.iter_mut().take(primed) {
+        slot.draw(raw, &sampler, rng);
+    }
+    for slot in ring.iter_mut().take(primed.min(RESOLVE_AHEAD)) {
+        slot.resolve(raw, &sampler);
     }
     for it in 0..budget {
         let slot = it as usize % DRAW_AHEAD;
         ring[(slot + TRIAD_AHEAD) % DRAW_AHEAD].prefetch_triad_rows(raw);
+        if it + (RESOLVE_AHEAD as u64) < budget {
+            ring[(slot + RESOLVE_AHEAD) % DRAW_AHEAD].resolve(raw, &sampler);
+        }
         std::mem::swap(&mut current, &mut ring[slot]);
         if it + (DRAW_AHEAD as u64) < budget {
-            ring[slot].draw(raw, universe, pc, pn, cfg, rng);
+            ring[slot].draw(raw, &sampler, rng);
         }
         let lr = cfg.lr * (1.0 - it as f32 / budget as f32).max(1e-4);
         apply(raw, universe, cfg, lr, &current, &mut grad);
@@ -408,19 +508,27 @@ pub fn train(universe: &TieUniverse, cfg: &DeepDirectConfig) -> EStep {
     let mut w = vec![0.0f32; dim];
     let mut b = 0.0f32;
 
-    let weights = universe.tie_degree_weights();
-    let pc_weights: Vec<f64> = if cfg.uniform_context_sampling {
-        // Ablation: uniform over ties with at least one connected tie.
-        weights.iter().map(|&w| if w > 0.0 { 1.0 } else { 0.0 }).collect()
-    } else {
-        weights.clone()
+    // The f64 tie-degree weights live only while the tables are built, not
+    // through the SGD loop.
+    let (pc, pn) = {
+        let weights = universe.tie_degree_weights();
+        let context_table = |pc_weights: &[f64]| {
+            if pc_weights.iter().any(|&x| x > 0.0) {
+                AliasTable::new(pc_weights)
+            } else {
+                AliasTable::new(&vec![1.0; rows.max(1)])
+            }
+        };
+        let pc = if cfg.uniform_context_sampling {
+            // Ablation: uniform over ties with at least one connected tie.
+            context_table(
+                &weights.iter().map(|&w| if w > 0.0 { 1.0 } else { 0.0 }).collect::<Vec<_>>(),
+            )
+        } else {
+            context_table(&weights)
+        };
+        (pc, AliasTable::unigram_pow(&weights, cfg.noise_exponent))
     };
-    let pc = AliasTable::new(&if pc_weights.iter().any(|&x| x > 0.0) {
-        pc_weights
-    } else {
-        vec![1.0; rows.max(1)]
-    });
-    let pn = AliasTable::unigram_pow(&weights, cfg.noise_exponent);
 
     let planned = (cfg.tau * universe.n_connected_pairs() as f64).round() as u64;
     let total = cfg.max_iterations.map_or(planned, |cap| cap.min(planned));
@@ -740,8 +848,10 @@ pub fn estimate_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::universe::UniverseTie;
     use dd_graph::generators::{social_network, SocialNetConfig};
     use dd_graph::sampling::hide_directions;
+    use dd_graph::{MixedSocialNetwork, NetworkBuilder, NodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -927,6 +1037,233 @@ mod tests {
         for e in events.iter().filter(|e| e.kind == dd_telemetry::kind::ESTEP_PROGRESS) {
             assert_eq!(e.per_worker_iterations.as_ref().unwrap().len(), 3);
         }
+    }
+
+    /// A tiny mixed network for the gradient checks: the undirected tie
+    /// `0–1` has common neighbors 2 and 3 (two triad samples), and
+    /// `deg(0) = 4`, `deg(1) = 5`, so its two orders fall on either side of
+    /// the Degree Consistency threshold 0.5.
+    fn gradient_check_universe() -> (MixedSocialNetwork, TieUniverse) {
+        let mut b = NetworkBuilder::new(7);
+        b.add_undirected(NodeId(0), NodeId(1)).unwrap();
+        for (u, v) in [(2, 0), (2, 1), (0, 3), (3, 1), (4, 5), (6, 0), (1, 5)] {
+            b.add_directed(NodeId(u), NodeId(v)).unwrap();
+        }
+        b.add_bidirectional(NodeId(1), NodeId(4)).unwrap();
+        b.add_undirected(NodeId(5), NodeId(6)).unwrap();
+        let g = b.build().unwrap();
+        let u = TieUniverse::build(&g, 10, &mut Pcg32::seed_from_u64(1));
+        (g, u)
+    }
+
+    /// `L'` (Eq. 20) of one draw in f64 over `θ = [m_e, n_e', n_neg.., w',
+    /// b']`, with the pseudo-labels `y^t` and `y^d` held as targets, as the
+    /// E-Step's gradient treats them.
+    fn draw_loss(
+        theta: &[f64],
+        dim: usize,
+        k: usize,
+        tie: &UniverseTie,
+        yt: Option<f64>,
+        cfg: &DeepDirectConfig,
+    ) -> f64 {
+        use dd_linalg::activations::{cross_entropy, sigmoid64};
+        let row = |r: usize| &theta[r * dim..(r + 1) * dim];
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+        let m = row(0);
+        let mut loss = -sigmoid64(dot(m, row(1))).ln();
+        for r in 2..2 + k {
+            loss -= sigmoid64(-dot(m, row(r))).ln();
+        }
+        let p = sigmoid64(dot(row(2 + k), m) + theta[(3 + k) * dim]);
+        if let Some(y) = tie.label {
+            loss += f64::from(cfg.alpha) * cross_entropy(f64::from(y), p);
+        } else if tie.kind == UniverseKind::Undirected {
+            if let Some(yt) = yt {
+                loss += f64::from(cfg.beta) * cross_entropy(yt, p);
+            }
+            let yd = f64::from(tie.pseudo_degree.unwrap());
+            if yd > cfg.degree_threshold {
+                loss += f64::from(cfg.beta) * cross_entropy(yd, p);
+            }
+        }
+        loss
+    }
+
+    /// Runs one `apply` of the draw `(e, e', negatives)` from 20 random
+    /// starting points and checks that `(θ − θ') / lr` matches a central
+    /// difference of [`draw_loss`] for every parameter the step touches,
+    /// and that no other value moved.
+    ///
+    /// Tolerance: `1e-4·(1 + |fd|)`, as for the D-Step's check in
+    /// `logreg.rs`. The step runs in f32 and the power-of-two `lr` makes the
+    /// division exact, so the recovered gradient is off by a few f32 ulps of
+    /// `θ` over `lr` plus the f32 rounding of `y^t` (the largest error seen
+    /// is 1.2e-7 of `1 + |fd|`); the f64 difference with `h = 1e-6` is good
+    /// to ≈ 1e-9. A dropped `α` or `β`, a flipped sign on the `y^d` term or
+    /// on a negative's update each fails it.
+    fn check_apply_gradient(
+        u: &TieUniverse,
+        cfg: &DeepDirectConfig,
+        e: usize,
+        ep: usize,
+        negatives: &[usize],
+    ) {
+        let dim = cfg.dim;
+        let k = negatives.len();
+        let lr = 0.25f32;
+        let h = 1e-6f64;
+        let tie = *u.tie(e);
+        let pattern = tie.label.is_none() && tie.kind == UniverseKind::Undirected && cfg.beta > 0.0;
+        let triads = if pattern { u.triad_samples(e) } else { &[] };
+        let draw = Draw { e, slot: None, ep: Some(ep), negatives: negatives.to_vec(), triads };
+        for seed in 0..20u64 {
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let m = DenseMatrix::uniform_init(u.len(), dim, &mut rng);
+            let mut n = DenseMatrix::zeros(u.len(), dim);
+            let mut unit = || rng.next_f32() - 0.5;
+            n.as_mut_slice().iter_mut().for_each(|x| *x = unit());
+            let w: Vec<f32> = (0..dim).map(|_| unit()).collect();
+            let b = unit();
+            let (mut m1, mut n1, mut w1, mut b1) = (m.clone(), n.clone(), w.clone(), b);
+            let raw = RawParams {
+                m: m1.as_mut_slice().as_mut_ptr(),
+                n: n1.as_mut_slice().as_mut_ptr(),
+                w: w1.as_mut_ptr(),
+                b: &mut b1 as *mut f32,
+                dim,
+            };
+            let mut grad = vec![0.0f32; dim];
+            // SAFETY: the buffers outlive the call and nothing else reads them.
+            unsafe { apply(&raw, u, cfg, lr, &draw, &mut grad) };
+
+            // y^t from the starting point, in f64, held fixed.
+            let predict = |r: usize| {
+                let z: f64 =
+                    m.row(r).iter().zip(&w).map(|(&a, &c)| f64::from(a) * f64::from(c)).sum();
+                dd_linalg::activations::sigmoid64(z + f64::from(b))
+            };
+            let yt = (!triads.is_empty()).then(|| {
+                triads
+                    .iter()
+                    .map(|&(uw, vw)| {
+                        predict(uw as usize) / (predict(uw as usize) + predict(vw as usize))
+                    })
+                    .sum::<f64>()
+                    / triads.len() as f64
+            });
+            let before: Vec<f32> = m
+                .row(e)
+                .iter()
+                .chain(n.row(ep))
+                .chain(negatives.iter().flat_map(|&r| n.row(r)))
+                .chain(&w)
+                .copied()
+                .chain([b])
+                .collect();
+            let after: Vec<f32> = m1
+                .row(e)
+                .iter()
+                .chain(n1.row(ep))
+                .chain(negatives.iter().flat_map(|&r| n1.row(r)))
+                .chain(&w1)
+                .copied()
+                .chain([b1])
+                .collect();
+            let theta: Vec<f64> = before.iter().map(|&x| f64::from(x)).collect();
+            for (i, (&x0, &x1)) in before.iter().zip(&after).enumerate() {
+                let (mut plus, mut minus) = (theta.clone(), theta.clone());
+                plus[i] += h;
+                minus[i] -= h;
+                let fd = (draw_loss(&plus, dim, k, &tie, yt, cfg)
+                    - draw_loss(&minus, dim, k, &tie, yt, cfg))
+                    / (2.0 * h);
+                let analytic = f64::from((x0 - x1) / lr);
+                assert!(
+                    (analytic - fd).abs() <= 1e-4 * (1.0 + fd.abs()),
+                    "tie {e}, seed {seed}, θ[{i}]: update {analytic} vs finite difference {fd}"
+                );
+            }
+            // Every other value, the triad rows included, is untouched.
+            for r in 0..u.len() {
+                if r != e {
+                    assert_eq!(m.row(r), m1.row(r), "M[{r}] moved");
+                }
+                if r != ep && !negatives.contains(&r) {
+                    assert_eq!(n.row(r), n1.row(r), "N[{r}] moved");
+                }
+            }
+        }
+    }
+
+    /// `k` distinct negatives, none equal to `ep`.
+    fn distinct_negatives(u: &TieUniverse, ep: usize, k: usize, rng: &mut Pcg32) -> Vec<usize> {
+        let mut out = Vec::new();
+        while out.len() < k {
+            let r = rng.gen_range(u.len());
+            if r != ep && !out.contains(&r) {
+                out.push(r);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn topology_step_is_the_gradient_of_l_topo() {
+        let (_, u) = gradient_check_universe();
+        let cfg = DeepDirectConfig { dim: 8, alpha: 0.0, beta: 0.0, ..DeepDirectConfig::default() };
+        let mut rng = Pcg32::seed_from_u64(11);
+        for e in 0..u.len() {
+            let Some(ep) = u.sample_connected(e, &mut rng) else { continue };
+            let negatives = distinct_negatives(&u, ep, cfg.negatives, &mut rng);
+            check_apply_gradient(&u, &cfg, e, ep, &negatives);
+        }
+    }
+
+    #[test]
+    fn label_step_is_the_gradient_of_l_topo_plus_alpha_l_label() {
+        let (_, u) = gradient_check_universe();
+        let cfg = DeepDirectConfig { dim: 8, alpha: 2.5, beta: 0.7, ..DeepDirectConfig::default() };
+        let mut rng = Pcg32::seed_from_u64(12);
+        let mut checked = [0usize; 2];
+        for (e, tie) in u.labeled_ties() {
+            let Some(ep) = u.sample_connected(e, &mut rng) else { continue };
+            let negatives = distinct_negatives(&u, ep, 3, &mut rng);
+            check_apply_gradient(&u, &cfg, e, ep, &negatives);
+            checked[tie.label.unwrap() as usize] += 1;
+        }
+        assert!(checked[0] > 0 && checked[1] > 0, "mirrors and directed ties both checked");
+    }
+
+    #[test]
+    fn pattern_step_is_the_gradient_of_l_topo_plus_beta_l_pattern() {
+        let (g, u) = gradient_check_universe();
+        let cfg = DeepDirectConfig {
+            dim: 8,
+            beta: 0.7,
+            degree_threshold: 0.5,
+            ..DeepDirectConfig::default()
+        };
+        let mut rng = Pcg32::seed_from_u64(13);
+        for (a, c) in [(0, 1), (1, 0)] {
+            let e = u.find(NodeId(a), NodeId(c)).unwrap();
+            assert_eq!(u.triad_samples(e).len(), 2);
+            // Eq. 14 in its pattern-consistent form (DESIGN.md §7 note 1):
+            // y^d(u, v) = deg(v) / (deg(u) + deg(v)), so 5/9 for (0, 1),
+            // above T, and 4/9 for (1, 0), below it.
+            let (du, dv) = (g.social_degree(NodeId(a)) as f32, g.social_degree(NodeId(c)) as f32);
+            assert_eq!(u.tie(e).pseudo_degree, Some(dv / (du + dv)));
+            let ep = u.sample_connected(e, &mut rng).unwrap();
+            let negatives = distinct_negatives(&u, ep, 4, &mut rng);
+            check_apply_gradient(&u, &cfg, e, ep, &negatives);
+        }
+        // (5, 6) has no common neighbor and y^d = 2/5, gated out by T: the
+        // pattern term vanishes.
+        let e = u.find(NodeId(5), NodeId(6)).unwrap();
+        assert_eq!(u.tie(e).pseudo_degree, Some(0.4));
+        assert!(u.triad_samples(e).is_empty());
+        let ep = u.sample_connected(e, &mut rng).unwrap();
+        check_apply_gradient(&u, &cfg, e, ep, &distinct_negatives(&u, ep, 2, &mut rng));
     }
 
     #[test]

@@ -14,11 +14,16 @@
 //! For each undirected tie the universe precomputes the Degree Consistency
 //! pseudo-label `y^d` (Eq. 14) and the sampled common-neighbor tie pairs
 //! `t(u, v)` feeding the Triad Status pseudo-label `y^t` (Eq. 15).
+//!
+//! Each tie also gets one 16-byte draw record: everything an E-Step draw
+//! needs to pick `e'` from `c(e)` and find `e`'s triad samples, so the RNG
+//! stream waits on one load per draw (DESIGN.md §7.9, "Latency-hidden SGD").
 
 use dd_graph::hash::FxHashMap;
 use dd_graph::triads::common_neighbors;
 use dd_graph::{MixedSocialNetwork, NodeId, TieKind};
 use dd_linalg::bytes::advise_huge_pages;
+use dd_linalg::kernels::prefetch;
 use dd_linalg::rng::Pcg32;
 use dd_runtime::{chunk_size, split_streams, Pool, Threads};
 use serde::{Deserialize, Serialize};
@@ -53,6 +58,22 @@ pub struct UniverseTie {
     pub pseudo_degree: Option<f32>,
 }
 
+/// What an E-Step draw reads about universe tie `e = (u, v)`, in one
+/// record: `v`'s out-ties are `out_ties[start..start + len]`, the back-tie
+/// `(v, u)` sits at position `back` among them, and `e`'s triad samples
+/// start at `triads` in the flat pair array (they end where the next
+/// tie's start, or at the array's end). Aligned to 16 bytes, so a record
+/// never straddles a cache line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(C, align(16))]
+pub(crate) struct DrawRecord {
+    start: u32,
+    /// `outdeg(v)`; `deg_tie(e) = len − 1`.
+    len: u32,
+    back: u32,
+    triads: u32,
+}
+
 /// The frozen training universe.
 #[derive(Debug, Clone)]
 pub struct TieUniverse {
@@ -60,11 +81,19 @@ pub struct TieUniverse {
     ties: Vec<UniverseTie>,
     out_offsets: Vec<u32>,
     out_ties: Vec<u32>,
-    tie_degrees: Vec<u32>,
-    /// For each undirected universe tie `e = (u, v)`: the universe indices of
-    /// `(u, w)` and `(v, w)` for each sampled common neighbor `w ∈ t(u, v)`.
-    triad_samples: Vec<Vec<(u32, u32)>>,
+    /// One [`DrawRecord`] per universe tie.
+    records: Vec<DrawRecord>,
+    /// For each undirected universe tie `e = (u, v)`, at
+    /// `records[e].triads..`: the universe indices of `(u, w)` and `(v, w)`
+    /// for each sampled common neighbor `w ∈ t(u, v)`, ties in index order.
+    triad_pairs: Vec<(u32, u32)>,
     n_connected_pairs: u64,
+}
+
+/// Hints the CPU to fetch `items[i]`; the address is never dereferenced.
+#[inline]
+fn prefetch_item<T>(items: &[T], i: usize) {
+    prefetch(items.as_ptr().wrapping_add(i).cast(), std::mem::size_of::<T>().div_ceil(4));
 }
 
 impl TieUniverse {
@@ -80,11 +109,12 @@ impl TieUniverse {
 
     /// Builds the universe on `threads` workers.
     ///
-    /// The connected-tie-pair enumeration (tie degrees) and the
+    /// The draw records (tie degrees and back-tie positions) and the
     /// common-neighbor triad sampling are parallelized over fixed chunks of
-    /// ties, each chunk drawing from its own [`Pcg32`] stream split off
-    /// `rng` (stream `i` belongs to chunk `i`, not to a thread), so the
-    /// universe is bit-identical at any thread count.
+    /// ties, each triad chunk drawing from its own [`Pcg32`] stream split
+    /// off `rng` (stream `i` belongs to chunk `i`, not to a thread) and the
+    /// chunks' pairs concatenated in chunk order, so the universe is
+    /// bit-identical at any thread count.
     pub fn build_with_threads(
         g: &MixedSocialNetwork,
         gamma: usize,
@@ -110,11 +140,14 @@ impl TieUniverse {
     ) -> Self {
         let counts = g.counts();
         let n_universe = g.n_ordered_ties() + counts.directed;
-        // `ties` and `triad_samples` are read at random indices by every
-        // E-Step draw, so each goes on 2 MiB pages before its first write
+        // `ties` and `records` are read at random indices by every E-Step
+        // draw, so each goes on 2 MiB pages before its first write
         // (DESIGN.md §7.9, "TLB reach").
         let mut ties: Vec<UniverseTie> = Vec::with_capacity(n_universe);
         advise_huge_pages(ties.spare_capacity_mut());
+        // `rev[i]`: the universe index of tie `i`'s reverse. A symmetric
+        // instance's is its network twin; a directed tie's is its mirror.
+        let mut rev: Vec<u32> = Vec::with_capacity(n_universe);
         // Original instances first (so network TieIds map 1:1 onto the first
         // `g.n_ordered_ties()` universe indices), then mirrors.
         for (_, t) in g.iter_ties() {
@@ -137,8 +170,12 @@ impl TieUniverse {
                 }
             };
             ties.push(UniverseTie { src: t.src, dst: t.dst, kind, label, pseudo_degree });
+            // A directed tie's entry is set when its mirror is pushed.
+            rev.push(t.reverse.map_or(u32::MAX, |r| r.0));
         }
-        for (_, u, v) in g.directed_ties() {
+        for (id, u, v) in g.directed_ties() {
+            rev[id.index()] = ties.len() as u32;
+            rev.push(id.0);
             ties.push(UniverseTie {
                 src: v,
                 dst: u,
@@ -159,9 +196,12 @@ impl TieUniverse {
         }
         let mut cursor: Vec<u32> = out_offsets[..n_nodes].to_vec();
         let mut out_ties = vec![0u32; ties.len()];
+        // `pos[i]`: where tie `i` lands within `out_ties(src)`.
+        let mut pos = vec![0u32; ties.len()];
         for (i, t) in ties.iter().enumerate() {
             let c = &mut cursor[t.src.index()];
             out_ties[*c as usize] = i as u32;
+            pos[i] = *c - out_offsets[t.src.index()];
             *c += 1;
         }
 
@@ -178,29 +218,44 @@ impl TieUniverse {
             pool.set_trace(span.observer(), span.context());
         }
 
-        // Every universe tie has its reverse present, so deg_tie = outdeg−1.
-        // This is the connected-tie-pair enumeration: Σ deg_tie = |C(G)|.
-        let tie_degrees: Vec<u32> = pool.par_map(ties.len(), |i| {
-            let t = &ties[i];
-            let od = out_offsets[t.dst.index() + 1] - out_offsets[t.dst.index()];
-            debug_assert!(od >= 1, "reverse tie must exist");
-            od - 1
+        // Every universe tie has its reverse present, so `e = (u, v)`'s
+        // connected ties are `v`'s out-ties minus the back-tie `rev(e)`,
+        // which sits at `pos[rev(e)]` among them: deg_tie = outdeg(v) − 1.
+        let csize = chunk_size(ties.len());
+        let mut records: Vec<DrawRecord> = Vec::with_capacity(ties.len());
+        advise_huge_pages(records.spare_capacity_mut());
+        records.resize(ties.len(), DrawRecord::default());
+        pool.par_chunks_mut(&mut records, csize, |offset, chunk| {
+            for (j, r) in chunk.iter_mut().enumerate() {
+                let e = offset + j;
+                let v = ties[e].dst.index();
+                let len = out_offsets[v + 1] - out_offsets[v];
+                debug_assert!(len >= 1, "reverse tie must exist");
+                *r = DrawRecord {
+                    start: out_offsets[v],
+                    len,
+                    back: pos[rev[e] as usize],
+                    triads: 0,
+                };
+            }
         });
-        let n_connected_pairs: u64 = tie_degrees.iter().map(|&d| d as u64).sum();
+        drop((rev, pos));
+        // The connected-tie-pair enumeration: Σ deg_tie = |C(G)|.
+        let n_connected_pairs: u64 = records.iter().map(|r| u64::from(r.len - 1)).sum();
 
         // Sampled common-neighbor tie pairs for undirected ties, chunked
         // with one split RNG stream per chunk. Streams are derived from
         // `rng` serially up front, so the samples depend only on the root
-        // RNG state and the tie count — never on the thread count.
-        let csize = chunk_size(ties.len());
-        let streams = split_streams(rng, ties.len().div_ceil(csize));
-        let mut triad_samples: Vec<Vec<(u32, u32)>> = Vec::with_capacity(ties.len());
-        advise_huge_pages(triad_samples.spare_capacity_mut());
-        triad_samples.resize_with(ties.len(), Vec::new);
-        pool.par_chunks_mut(&mut triad_samples, csize, |offset, slots| {
-            let mut chunk_rng = streams[offset / csize].clone();
-            for (j, slot) in slots.iter_mut().enumerate() {
-                let t = &ties[offset + j];
+        // RNG state and the tie count — never on the thread count. Each
+        // chunk returns its ties' sample counts and its pairs.
+        let n_chunks = ties.len().div_ceil(csize);
+        let streams = split_streams(rng, n_chunks);
+        let chunks = pool.par_map(n_chunks, |ci| {
+            let mut chunk_rng = streams[ci].clone();
+            let chunk_ties = &ties[ci * csize..ties.len().min((ci + 1) * csize)];
+            let mut counts = vec![0u32; chunk_ties.len()];
+            let mut pairs = Vec::new();
+            for (t, count) in chunk_ties.iter().zip(&mut counts) {
                 if t.kind != UniverseKind::Undirected {
                     continue;
                 }
@@ -211,7 +266,7 @@ impl TieUniverse {
                     let j = k + chunk_rng.gen_range(cn.len() - k);
                     cn.swap(k, j);
                 }
-                let mut pairs = Vec::with_capacity(take);
+                let before = pairs.len();
                 for &w in &cn[..take] {
                     let uw = pair_index.get(&(t.src.0, w.0));
                     let vw = pair_index.get(&(t.dst.0, w.0));
@@ -219,17 +274,28 @@ impl TieUniverse {
                         pairs.push((uw, vw));
                     }
                 }
-                *slot = pairs;
+                *count = (pairs.len() - before) as u32;
             }
+            (counts, pairs)
         });
+        // Concatenate in chunk order: the flat CSR of triad samples.
+        let mut triad_pairs = Vec::with_capacity(chunks.iter().map(|(_, p)| p.len()).sum());
+        for (ci, (counts, pairs)) in chunks.into_iter().enumerate() {
+            let mut at = triad_pairs.len() as u32;
+            for (rec, count) in records[ci * csize..].iter_mut().zip(counts) {
+                rec.triads = at;
+                at += count;
+            }
+            triad_pairs.extend(pairs);
+        }
 
         TieUniverse {
             n_nodes,
             ties,
             out_offsets,
             out_ties,
-            tie_degrees,
-            triad_samples,
+            records,
+            triad_pairs,
             n_connected_pairs,
         }
     }
@@ -280,12 +346,12 @@ impl TieUniverse {
     /// `deg_tie` of universe tie `idx` (back-tie excluded).
     #[inline]
     pub fn tie_degree(&self, idx: usize) -> u32 {
-        self.tie_degrees[idx]
+        self.records[idx].len - 1
     }
 
     /// All tie degrees, as `f64` weights for the sampling distributions.
     pub fn tie_degree_weights(&self) -> Vec<f64> {
-        self.tie_degrees.iter().map(|&d| d as f64).collect()
+        self.records.iter().map(|r| f64::from(r.len - 1)).collect()
     }
 
     /// `|C(G)|`: the total number of connected tie pairs.
@@ -297,26 +363,59 @@ impl TieUniverse {
     /// universe indices `((u, w), (v, w))`. Empty for other kinds.
     #[inline]
     pub fn triad_samples(&self, idx: usize) -> &[(u32, u32)] {
-        &self.triad_samples[idx]
+        let end = self.records.get(idx + 1).map_or(self.triad_pairs.len(), |r| r.triads as usize);
+        &self.triad_pairs[self.records[idx].triads as usize..end]
     }
 
     /// Samples a connected tie `e'` of universe tie `e` uniformly, or `None`
     /// if `deg_tie(e) = 0`.
     #[inline]
     pub fn sample_connected(&self, e: usize, rng: &mut Pcg32) -> Option<usize> {
-        if self.tie_degrees[e] == 0 {
+        self.sample_slot(e, rng).map(|slot| self.out_tie_at(slot))
+    }
+
+    /// [`TieUniverse::sample_connected`] up to the last load: the position
+    /// of `e'` in the out-tie CSR, read off `e`'s record alone. Exactly one
+    /// out-tie of `e`'s head is the back-tie, so rejecting its position
+    /// draws from the RNG exactly as rejecting the candidate that doubles
+    /// back does, in ≤2 expected draws.
+    #[inline]
+    pub(crate) fn sample_slot(&self, e: usize, rng: &mut Pcg32) -> Option<usize> {
+        let DrawRecord { start, len, back, .. } = self.records[e];
+        if len <= 1 {
             return None;
         }
-        let t = &self.ties[e];
-        let outs = self.out_ties(t.dst);
-        // Exactly one out-tie of `dst` is the back-tie to `src`; rejection
-        // sampling terminates in ≤2 expected draws.
         loop {
-            let cand = outs[rng.gen_range(outs.len())] as usize;
-            if self.ties[cand].dst != t.src {
-                return Some(cand);
+            let k = rng.gen_range(len as usize);
+            if k != back as usize {
+                return Some(start as usize + k);
             }
         }
+    }
+
+    /// The universe tie at `slot` of the out-tie CSR.
+    #[inline]
+    pub(crate) fn out_tie_at(&self, slot: usize) -> usize {
+        self.out_ties[slot] as usize
+    }
+
+    /// Hints the CPU to fetch tie `e`'s record and the next one (where its
+    /// triad samples end). Any `e` is fine: nothing is dereferenced.
+    #[inline]
+    pub(crate) fn prefetch_record(&self, e: usize) {
+        prefetch(self.records.as_ptr().wrapping_add(e).cast(), 8);
+    }
+
+    /// Hints the CPU to fetch `out_ties[slot]`.
+    #[inline]
+    pub(crate) fn prefetch_slot(&self, slot: usize) {
+        prefetch_item(&self.out_ties, slot);
+    }
+
+    /// Hints the CPU to fetch universe tie `e`.
+    #[inline]
+    pub(crate) fn prefetch_tie(&self, e: usize) {
+        prefetch_item(&self.ties, e);
     }
 
     /// Iterator over `(index, tie)` for labeled ties (directed + mirrors).
@@ -457,14 +556,15 @@ mod tests {
         let serial = build(1);
         for threads in [2, 8] {
             let par = build(threads);
-            assert_eq!(serial.tie_degrees, par.tie_degrees);
-            assert_eq!(serial.triad_samples, par.triad_samples, "threads={threads}");
+            assert_eq!(serial.records, par.records, "threads={threads}");
+            assert_eq!(serial.triad_pairs, par.triad_pairs, "threads={threads}");
             assert_eq!(serial.n_connected_pairs, par.n_connected_pairs);
         }
         // The default entry point is the same chunked computation.
         let mut rng = Pcg32::seed_from_u64(99);
         let default_build = TieUniverse::build(&g, 5, &mut rng);
-        assert_eq!(serial.triad_samples, default_build.triad_samples);
+        assert_eq!(serial.records, default_build.records);
+        assert_eq!(serial.triad_pairs, default_build.triad_pairs);
     }
 
     #[test]

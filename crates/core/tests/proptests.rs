@@ -1,7 +1,7 @@
 //! Property-based tests for DeepDirect's preprocessing invariants (the tie
 //! universe of Algorithm 1, lines 1–9).
 
-use dd_graph::{NetworkBuilder, NodeId};
+use dd_graph::{NetworkBuilder, NodeId, TieKind};
 use dd_linalg::rng::Pcg32;
 use deepdirect::{TieUniverse, UniverseKind};
 use proptest::prelude::*;
@@ -24,8 +24,66 @@ fn arb_network() -> impl Strategy<Value = dd_graph::MixedSocialNetwork> {
     )
 }
 
+/// `arb_network` plus a pendant directed tie `0 → n` into a fresh node, so
+/// the universe always holds a tie with `deg_tie = 0`: `(0, n)`, whose head
+/// has only the mirror `(n, 0)` leaving it.
+fn arb_network_with_pendant() -> impl Strategy<Value = dd_graph::MixedSocialNetwork> {
+    arb_network().prop_map(|g| {
+        let n = g.n_nodes();
+        let mut b = NetworkBuilder::new(n + 1);
+        for t in g.ties() {
+            // Symmetric ties come as two instances; re-add each once.
+            let _ = match t.kind {
+                TieKind::Directed => b.add_directed(t.src, t.dst).map(drop),
+                TieKind::Bidirectional if t.src < t.dst => {
+                    b.add_bidirectional(t.src, t.dst).map(drop)
+                }
+                TieKind::Undirected if t.src < t.dst => b.add_undirected(t.src, t.dst).map(drop),
+                _ => Ok(()),
+            };
+        }
+        b.add_directed(NodeId(0), NodeId(n as u32)).expect("fresh node");
+        b.build().expect("seeded directed tie")
+    })
+}
+
+/// The connected-tie sampler as it was before draw records: draw a
+/// candidate from the head's out-ties until it does not double back.
+fn sample_connected_reference(u: &TieUniverse, e: usize, rng: &mut Pcg32) -> Option<usize> {
+    let t = *u.tie(e);
+    let outs = u.out_ties(t.dst);
+    if outs.len() == 1 {
+        return None;
+    }
+    loop {
+        let cand = outs[rng.gen_range(outs.len())] as usize;
+        if u.tie(cand).dst != t.src {
+            return Some(cand);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn record_sampler_matches_the_rejection_loop(
+        g in arb_network_with_pendant(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let u = TieUniverse::build(&g, 5, &mut rng);
+        let pendant = u.find(NodeId(0), NodeId(g.n_nodes() as u32 - 1)).unwrap();
+        prop_assert_eq!(u.tie_degree(pendant), 0);
+        let mut reference = rng.clone();
+        for i in 0..u.len() {
+            for _ in 0..8 {
+                let got = u.sample_connected(i, &mut rng);
+                prop_assert_eq!(got, sample_connected_reference(&u, i, &mut reference), "tie {}", i);
+                prop_assert_eq!(&rng, &reference, "RNG state after tie {}", i);
+            }
+        }
+    }
 
     #[test]
     fn universe_counts_add_up(g in arb_network(), gamma in 1usize..12, seed in 0u64..100) {

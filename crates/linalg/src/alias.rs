@@ -6,6 +6,7 @@
 //! construction cost into constant-time draws.
 
 use crate::bytes::advise_huge_pages;
+use crate::kernels::prefetch;
 use crate::rng::Pcg32;
 
 /// One outcome's column of the table: keep it with probability `prob`,
@@ -91,16 +92,39 @@ impl AliasTable {
         self.entries.is_empty()
     }
 
-    /// Draws one outcome index in O(1).
+    /// Draws one outcome index in O(1): [`AliasTable::column`], then
+    /// [`AliasTable::resolve`] with the next uniform `f32`.
     #[inline]
     pub fn sample(&self, rng: &mut Pcg32) -> usize {
-        let i = rng.gen_range(self.entries.len());
+        let i = self.column(rng);
+        self.resolve(i, rng.next_f32())
+    }
+
+    /// The first half of a draw: the column it reads, from one
+    /// `gen_range`. Reads no entry.
+    #[inline]
+    pub fn column(&self, rng: &mut Pcg32) -> usize {
+        rng.gen_range(self.entries.len())
+    }
+
+    /// The second half of a draw: column `i` keeps itself when `u` falls
+    /// under its probability, else yields its alias.
+    #[inline]
+    pub fn resolve(&self, i: usize, u: f32) -> usize {
         let AliasEntry { prob, alias } = self.entries[i];
-        if rng.next_f32() < prob {
+        if u < prob {
             i
         } else {
             alias as usize
         }
+    }
+
+    /// Hints the CPU to fetch column `i`'s entry, so a later
+    /// [`AliasTable::resolve`] of it does not wait on memory. Any `i` is
+    /// fine: the address is never dereferenced.
+    #[inline]
+    pub fn prefetch_column(&self, i: usize) {
+        prefetch(self.entries.as_ptr().wrapping_add(i).cast(), 2);
     }
 }
 

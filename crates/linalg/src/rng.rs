@@ -5,15 +5,29 @@
 //! PCG32 (Melissa O'Neill, 2014) passes the statistical test batteries that
 //! matter for simulation workloads at a cost of a multiply and a shift per
 //! draw. Each E-Step worker thread gets its own stream via [`Pcg32::split`].
+//! [`Pcg32::jump`] precomputes a skip of many steps along a stream, which
+//! the E-Step's look-ahead applies to copies of a worker's generator to
+//! guess its later draws.
 
 /// PCG32 (XSH-RR variant) generator state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pcg32 {
     state: u64,
     inc: u64,
 }
 
 const MULT: u64 = 6364136223846793005;
+
+/// A precomputed jump of a fixed number of steps along one PCG stream: the
+/// affine map `state ↦ mult·state + plus` that `delta` calls of
+/// [`Pcg32::next_u32`] compose to. Built once by [`Pcg32::jump`], applied in
+/// one multiply-add by [`Pcg32::jumped`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Jump {
+    mult: u64,
+    plus: u64,
+    inc: u64,
+}
 
 impl Pcg32 {
     /// Creates a generator from a seed and a stream id.
@@ -36,6 +50,34 @@ impl Pcg32 {
     pub fn split(&mut self, index: u64) -> Pcg32 {
         let seed = self.next_u64();
         Pcg32::new(seed, 0x9e3779b97f4a7c15 ^ (index.wrapping_mul(0xbf58476d1ce4e5b9)))
+    }
+
+    /// The jump of `delta` steps along this generator's stream (O'Neill's
+    /// PCG advance: square-and-multiply over the LCG's affine map, so
+    /// O(log delta)). `delta` may be anything up to the 2^64 period.
+    pub fn jump(&self, delta: u64) -> Jump {
+        let (mut cur_mult, mut cur_plus) = (MULT, self.inc);
+        let (mut mult, mut plus) = (1u64, 0u64);
+        let mut d = delta;
+        while d > 0 {
+            if d & 1 == 1 {
+                mult = mult.wrapping_mul(cur_mult);
+                plus = plus.wrapping_mul(cur_mult).wrapping_add(cur_plus);
+            }
+            cur_plus = cur_mult.wrapping_add(1).wrapping_mul(cur_plus);
+            cur_mult = cur_mult.wrapping_mul(cur_mult);
+            d >>= 1;
+        }
+        Jump { mult, plus, inc: self.inc }
+    }
+
+    /// A copy of this generator moved `j`'s steps ahead: it yields what this
+    /// one would after that many [`Pcg32::next_u32`] calls. `j` must come
+    /// from a generator on the same stream.
+    #[inline]
+    pub fn jumped(&self, j: &Jump) -> Pcg32 {
+        debug_assert_eq!(j.inc, self.inc, "a jump applies only to its own stream");
+        Pcg32 { state: j.mult.wrapping_mul(self.state).wrapping_add(j.plus), inc: self.inc }
     }
 
     /// Next 32 uniformly distributed bits.
@@ -88,6 +130,7 @@ impl Pcg32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn deterministic_for_seed() {
@@ -152,6 +195,46 @@ mod tests {
             }
         }
         assert!(equal < 4, "split streams should not track each other");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A jump of `k` equals `k` single steps, at the depths the E-Step
+        /// looks ahead (`5 + 3λ` per iteration) and beyond.
+        #[test]
+        fn jump_equals_single_steps(
+            seed in 0u64..u64::MAX,
+            stream in 0u64..u64::MAX,
+            k in 0u64..3000,
+            lambda in 0u64..12,
+            iters in 1u64..12,
+        ) {
+            let rng = Pcg32::new(seed, stream);
+            for delta in [0, 1, 5 + 3 * lambda, iters * (5 + 3 * lambda), k] {
+                let mut stepped = rng.clone();
+                for _ in 0..delta {
+                    stepped.next_u32();
+                }
+                prop_assert_eq!(rng.jumped(&rng.jump(delta)), stepped, "delta {}", delta);
+            }
+        }
+
+        /// Large jumps compose, and the whole 2^64 period comes back round.
+        #[test]
+        fn large_jumps_compose_and_wrap(
+            seed in 0u64..u64::MAX,
+            stream in 0u64..u64::MAX,
+            a in 0u64..u64::MAX,
+            b in 0u64..u64::MAX,
+        ) {
+            let rng = Pcg32::new(seed, stream);
+            let two = rng.jumped(&rng.jump(a)).jumped(&rng.jump(b));
+            prop_assert_eq!(two, rng.jumped(&rng.jump(a.wrapping_add(b))));
+            let mut lap = rng.jumped(&rng.jump(u64::MAX));
+            lap.next_u32();
+            prop_assert_eq!(lap, rng);
+        }
     }
 
     #[test]
