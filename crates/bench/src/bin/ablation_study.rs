@@ -4,7 +4,6 @@
 //! * tie-degree weighting of labeled ties (Eq. 13) vs uniform sampling,
 //! * the degree-pattern threshold `T` (Eq. 16) on vs off,
 //! * the `P_n ∝ deg^{3/4}` noise exponent vs uniform negatives,
-//! * the linear logistic D-Step vs the future-work MLP head,
 //! * γ (common-neighbor cap of Eq. 15).
 //!
 //! ```text
@@ -14,7 +13,7 @@
 use dd_bench::{bench_deepdirect_config, BenchEnv};
 use dd_datasets::{epinions, tencent};
 use dd_eval::runner::{direction_discovery_accuracy, ExperimentRow, Method, ResultSink};
-use deepdirect::{DStepHead, DeepDirectConfig};
+use deepdirect::DeepDirectConfig;
 
 fn main() {
     let env = BenchEnv::from_env();
@@ -31,7 +30,6 @@ fn main() {
                 ("threshold_strict", DeepDirectConfig { degree_threshold: 0.8, ..base.clone() }),
                 ("gamma_1", DeepDirectConfig { gamma: 1, ..base.clone() }),
                 ("gamma_30", DeepDirectConfig { gamma: 30, ..base.clone() }),
-                ("mlp_head", DeepDirectConfig { head: DStepHead::Mlp, ..base.clone() }),
                 ("beta_off", DeepDirectConfig { beta: 0.0, ..base.clone() }),
                 ("alpha_off", DeepDirectConfig { alpha: 0.0, ..base.clone() }),
                 ("uniform_negatives", DeepDirectConfig { noise_exponent: 0.0, ..base.clone() }),

@@ -442,11 +442,21 @@ fn check_f32_block(
 pub(crate) fn decode(mut buf: AlignedBuf) -> Result<DecodedModel, BinaryFormatError> {
     let (meta_r, src_r, dst_r, emb_r, ctx_r) = validate_structure(buf.as_bytes())?;
 
-    let meta: MetaDoc = serde_json::from_str(
-        std::str::from_utf8(&buf.as_bytes()[meta_r])
-            .map_err(|e| BinaryFormatError::Meta(e.to_string()))?,
-    )
-    .map_err(|e| BinaryFormatError::Meta(e.to_string()))?;
+    let text = std::str::from_utf8(&buf.as_bytes()[meta_r])
+        .map_err(|e| BinaryFormatError::Meta(e.to_string()))?;
+    let doc: serde_json::Value =
+        serde_json::from_str(text).map_err(|e| BinaryFormatError::Meta(e.to_string()))?;
+    // Older builds could write a one-hidden-layer MLP head. Name it, rather
+    // than fail on an unknown variant with its weights echoed.
+    if doc.get("head").and_then(|h| h.get("Mlp")).is_some() {
+        return Err(BinaryFormatError::Meta(
+            "the head is an MLP, which this build no longer reads; retrain the model \
+             (only the logistic head is supported)"
+                .into(),
+        ));
+    }
+    let meta: MetaDoc =
+        serde_json::from_value(&doc).map_err(|e| BinaryFormatError::Meta(e.to_string()))?;
     if meta.schema != MODEL_SCHEMA_VERSION {
         return Err(BinaryFormatError::SchemaMismatch { found: meta.schema });
     }
@@ -455,10 +465,8 @@ pub(crate) fn decode(mut buf: AlignedBuf) -> Result<DecodedModel, BinaryFormatEr
     // The config and head must describe the blocks they travel with: fold-in
     // sizes its features from the config, and scoring dots the head's
     // weights against the rows.
-    let head_features = match &meta.head {
-        DirectionalityHead::Logistic(lr) => lr.w.len(),
-        DirectionalityHead::Mlp(mlp) => mlp.input_dim(),
-    };
+    let DirectionalityHead::Logistic(lr) = &meta.head;
+    let head_features = lr.w.len();
     if meta.cfg.dim != dim
         || meta.cfg.context_features != meta.context
         || head_features != dstep::feature_dim(&meta.cfg)

@@ -3,17 +3,6 @@
 use dd_telemetry::ObserverHandle;
 use serde::{Deserialize, Serialize};
 
-/// Which classifier the D-Step trains on top of the tie embeddings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DStepHead {
-    /// The paper's logistic regression (Eq. 26), warm-started from `w', b'`.
-    Logistic,
-    /// The future-work extension: a one-hidden-layer MLP for a non-linear
-    /// directionality function. The hidden width is
-    /// [`DeepDirectConfig::mlp_hidden`].
-    Mlp,
-}
-
 /// Full configuration of DeepDirect.
 ///
 /// Defaults follow Sec. 6.1: `l = 128`, `λ = 5`, `τ = 10`, with `α = 5` and
@@ -49,10 +38,6 @@ pub struct DeepDirectConfig {
     pub threads: usize,
     /// RNG seed controlling initialization and sampling.
     pub seed: u64,
-    /// D-Step classifier.
-    pub head: DStepHead,
-    /// Hidden width when `head == DStepHead::Mlp`.
-    pub mlp_hidden: usize,
     /// D-Step epochs.
     pub dstep_epochs: usize,
     /// D-Step L2 regularization strength.
@@ -98,8 +83,6 @@ impl Default for DeepDirectConfig {
             lr: 0.05,
             threads: 1,
             seed: 0xdeed,
-            head: DStepHead::Logistic,
-            mlp_hidden: 32,
             dstep_epochs: 30,
             dstep_l2: 1e-4,
             noise_exponent: 0.75,
@@ -205,6 +188,5 @@ mod tests {
         let c2: DeepDirectConfig = serde_json::from_str(&s).unwrap();
         assert_eq!(c2.dim, c.dim);
         assert_eq!(c2.max_iterations, c.max_iterations);
-        assert_eq!(c2.head, DStepHead::Logistic);
     }
 }

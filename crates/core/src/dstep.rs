@@ -4,27 +4,28 @@
 //! The labeled universe ties (directed ties and their mirrors) form the
 //! training set; features are the embedding rows `m_e`. The paper's head is
 //! a logistic regression with L2 regularization, warm-started from the
-//! E-Step's joint classifier `(w', b')`. The future-work MLP head is also
-//! available via [`DStepHead::Mlp`](crate::config::DStepHead).
+//! E-Step's joint classifier `(w', b')`.
 
 use dd_linalg::logreg::{LogRegConfig, LogisticRegression};
 use dd_linalg::matrix::DenseMatrix;
-use dd_linalg::mlp::{Mlp, MlpConfig};
-use dd_linalg::rng::Pcg32;
 use dd_telemetry::EpochProgress;
 use serde::{Deserialize, Serialize};
 
-use crate::config::{DStepHead, DeepDirectConfig};
+use crate::config::DeepDirectConfig;
 use crate::estep::EStepParams;
 use crate::universe::TieUniverse;
 
 /// The trained directionality-function head.
+///
+/// An enum with one variant on purpose: its serialized form
+/// `{"Logistic":{…}}` is stored in every `.ddm` meta section and hashed into
+/// the model fingerprint that `/healthz` and every score response carry.
+/// Flattening it to a bare [`LogisticRegression`] would change the
+/// fingerprint of every stored model and so the served bytes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum DirectionalityHead {
     /// Logistic regression `d(e) = σ(w · m_e + b)` (Eq. 26).
     Logistic(LogisticRegression),
-    /// Non-linear head (paper's future-work extension).
-    Mlp(Mlp),
 }
 
 impl DirectionalityHead {
@@ -37,12 +38,8 @@ impl DirectionalityHead {
     /// [`dd_linalg::LogisticRegression`]'s own f32 loops.
     #[inline]
     pub fn score(&self, embedding: &[f32]) -> f64 {
-        match self {
-            DirectionalityHead::Logistic(lr) => dd_linalg::sigmoid64(
-                dd_linalg::kernels::dot8_f64(&lr.w, embedding) + f64::from(lr.b),
-            ),
-            DirectionalityHead::Mlp(mlp) => mlp.predict_proba(embedding) as f64,
-        }
+        let DirectionalityHead::Logistic(lr) = self;
+        dd_linalg::sigmoid64(dd_linalg::kernels::dot8_f64(&lr.w, embedding) + f64::from(lr.b))
     }
 }
 
@@ -76,51 +73,31 @@ pub fn train(
     }
     assert!(!ys.is_empty(), "TDL requires at least one directed tie (Definition 1)");
     let xs = DenseMatrix::from_vec(rows, feature_dim(cfg), flat);
-    match cfg.head {
-        DStepHead::Logistic => {
-            // Warm start from (w', b') per Algorithm 1 line 20; the context
-            // half (extension) starts at zero.
-            let mut w0 = estep.w.clone();
-            w0.resize(feature_dim(cfg), 0.0);
-            let mut lr = LogisticRegression::from_params(w0, estep.b);
-            let logreg_cfg = LogRegConfig {
-                epochs: cfg.dstep_epochs,
-                lr: 0.05,
-                l2: cfg.dstep_l2,
-                seed: cfg.seed ^ 0xd5,
-            };
-            if cfg.observer.is_enabled() {
-                let total_epochs = cfg.dstep_epochs as u64;
-                lr.fit_with_progress(&xs, &ys, None, &logreg_cfg, &mut |epoch, loss| {
-                    cfg.observer.on_epoch(&EpochProgress {
-                        stage: "dstep".to_string(),
-                        epoch: epoch as u64,
-                        total_epochs,
-                        loss,
-                    });
-                });
-            } else {
-                lr.fit(&xs, &ys, None, &logreg_cfg);
-            }
-            DirectionalityHead::Logistic(lr)
-        }
-        DStepHead::Mlp => {
-            let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x31a9);
-            let mut mlp = Mlp::new(feature_dim(cfg), cfg.mlp_hidden, &mut rng);
-            mlp.fit(
-                &xs,
-                &ys,
-                &MlpConfig {
-                    hidden: cfg.mlp_hidden,
-                    epochs: cfg.dstep_epochs,
-                    lr: 0.05,
-                    l2: cfg.dstep_l2,
-                    seed: cfg.seed ^ 0x31aa,
-                },
-            );
-            DirectionalityHead::Mlp(mlp)
-        }
+    // Warm start from (w', b') per Algorithm 1 line 20; the context half
+    // (extension) starts at zero.
+    let mut w0 = estep.w.clone();
+    w0.resize(feature_dim(cfg), 0.0);
+    let mut lr = LogisticRegression::from_params(w0, estep.b);
+    let logreg_cfg = LogRegConfig {
+        epochs: cfg.dstep_epochs,
+        lr: 0.05,
+        l2: cfg.dstep_l2,
+        seed: cfg.seed ^ 0xd5,
+    };
+    if cfg.observer.is_enabled() {
+        let total_epochs = cfg.dstep_epochs as u64;
+        lr.fit_with_progress(&xs, &ys, None, &logreg_cfg, &mut |epoch, loss| {
+            cfg.observer.on_epoch(&EpochProgress {
+                stage: "dstep".to_string(),
+                epoch: epoch as u64,
+                total_epochs,
+                loss,
+            });
+        });
+    } else {
+        lr.fit(&xs, &ys, None, &logreg_cfg);
     }
+    DirectionalityHead::Logistic(lr)
 }
 
 #[cfg(test)]
@@ -129,6 +106,7 @@ mod tests {
     use crate::estep;
     use dd_graph::generators::{social_network, SocialNetConfig};
     use dd_graph::sampling::hide_directions;
+    use dd_linalg::rng::Pcg32;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -164,26 +142,6 @@ mod tests {
         }
         let acc = correct as f64 / total as f64;
         assert!(acc > 0.85, "D-Step train accuracy {acc}");
-    }
-
-    #[test]
-    fn mlp_head_fits_labels() {
-        let (u, params, mut cfg) = setup(2);
-        cfg.head = DStepHead::Mlp;
-        cfg.mlp_hidden = 16;
-        let head = train(&u, &params, &cfg);
-        assert!(matches!(head, DirectionalityHead::Mlp(_)));
-        let mut correct = 0;
-        let mut total = 0;
-        for (i, tie) in u.labeled_ties() {
-            let d = head.score(params.m.row(i));
-            if (d >= 0.5) == (tie.label.unwrap() >= 0.5) {
-                correct += 1;
-            }
-            total += 1;
-        }
-        let acc = correct as f64 / total as f64;
-        assert!(acc > 0.8, "MLP D-Step train accuracy {acc}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! * [`universe`] — preprocessing: the augmented ordered-tie universe with
 //!   mirrors, labels and pseudo-labels (Algorithm 1, lines 1–9).
 //! * [`estep`] — sampled SGD over Eqs. 20–25, sequential or Hogwild.
-//! * [`dstep`] — the directionality head (logistic regression or MLP).
+//! * [`dstep`] — the directionality head, the paper's logistic regression.
 //! * [`model`] — the public [`DeepDirect`] / [`DirectionalityModel`] API.
 //! * [`binfmt`] — the checksummed little-endian binary model container
 //!   (zero-copy loading; DESIGN.md §7.13).
@@ -78,7 +78,7 @@ pub mod store;
 pub mod universe;
 
 pub use binfmt::BinaryFormatError;
-pub use config::{DStepHead, DeepDirectConfig};
+pub use config::DeepDirectConfig;
 /// Re-export of the telemetry crate, so downstream users can build sinks
 /// ([`telemetry::JsonlSink`], [`telemetry::ProgressSink`]) without a direct
 /// dependency.

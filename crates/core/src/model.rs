@@ -237,7 +237,7 @@ impl DirectionalityModel {
     /// observer was attached.
     pub fn fit_summary(&self) -> String {
         format!(
-            "fit: {} ties, dim {} | estep {} iters in {:.2}s ({:.0} it/s, {} thread{}) | head: {}",
+            "fit: {} ties, dim {} | estep {} iters in {:.2}s ({:.0} it/s, {} thread{}) | head: logistic",
             self.n_ties(),
             self.cfg.dim,
             self.estep_iterations,
@@ -245,10 +245,6 @@ impl DirectionalityModel {
             self.estep_iters_per_sec,
             self.cfg.threads,
             if self.cfg.threads == 1 { "" } else { "s" },
-            match &self.head {
-                DirectionalityHead::Logistic(_) => "logistic",
-                DirectionalityHead::Mlp(_) => "mlp",
-            },
         )
     }
 
@@ -307,25 +303,13 @@ impl DirectionalityModel {
     /// (kernel lanes, then `emb + ctx + b` left to right), so scores are
     /// bit-identical regardless of load path or thread count.
     pub fn score_row(&self, row: usize) -> f64 {
-        let emb = self.store.embedding_row(row);
-        match &self.head {
-            DirectionalityHead::Logistic(lr) => {
-                let (w_emb, w_ctx) = lr.w.split_at(self.store.dim().min(lr.w.len()));
-                let mut z = dot8_f64(w_emb, emb);
-                if let Some(ctx) = self.store.context_row(row) {
-                    z += dot8_f64(w_ctx, ctx);
-                }
-                sigmoid64(z + f64::from(lr.b))
-            }
-            DirectionalityHead::Mlp(_) => match self.store.context_row(row) {
-                None => self.head.score(emb),
-                Some(ctx) => {
-                    let mut x = emb.to_vec();
-                    x.extend_from_slice(ctx);
-                    self.head.score(&x)
-                }
-            },
+        let DirectionalityHead::Logistic(lr) = &self.head;
+        let (w_emb, w_ctx) = lr.w.split_at(self.store.dim().min(lr.w.len()));
+        let mut z = dot8_f64(w_emb, self.store.embedding_row(row));
+        if let Some(ctx) = self.store.context_row(row) {
+            z += dot8_f64(w_ctx, ctx);
         }
+        sigmoid64(z + f64::from(lr.b))
     }
 
     /// Serializes the model as a `.ddm` container (DESIGN.md §7.13):
@@ -529,7 +513,7 @@ mod tests {
         ties[rows / 2].1 += 1;
         assert_ne!(fp(&emb, &ctx, &ties, &model.head), base, "one tie");
         let mut head = model.head.clone();
-        let DirectionalityHead::Logistic(lr) = &mut head else { panic!("logistic head") };
+        let DirectionalityHead::Logistic(lr) = &mut head;
         lr.b = f32::from_bits(lr.b.to_bits() ^ 1);
         assert_ne!(fp(&emb, &ctx, &model.ties, &head), base, "head bias");
 

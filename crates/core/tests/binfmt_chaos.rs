@@ -191,8 +191,9 @@ fn loader_survives_2000_corrupt_meta_sections_with_typed_errors() {
     assert!(n_err >= 1800, "expected ≥1800 rejections out of 2000, got {n_err}");
 }
 
-/// Meta JSON that parses but describes other blocks is a typed error, not a
-/// model whose scoring or fold-in would later slice out of bounds.
+/// Meta JSON that parses but describes other blocks, or a head this build
+/// does not read, is a typed error, not a model whose scoring or fold-in
+/// would later slice out of bounds.
 #[test]
 fn loader_rejects_meta_that_disagrees_with_the_blocks() {
     let (_, valid) = valid_container();
@@ -202,18 +203,56 @@ fn loader_rejects_meta_that_disagrees_with_the_blocks() {
     // The config block repeats the top-level `"dim":12`; the second one is
     // the config's.
     let cfg_dim = meta.match_indices("\"dim\":12").nth(1).expect("a config dim").0;
+    // The one-hidden-layer MLP head that older builds could write, sized for
+    // these 12-dim blocks; its weights must not be echoed back.
+    let w1 = ["0.8125"; 12].join(",");
+    let mlp = format!(
+        r#""head":{{"Mlp":{{"w1":{{"rows":1,"cols":12,"data":[{w1}]}},"b1":[0.0],"w2":[0.8125],"b2":0.0}}}},"#
+    );
+    let head_at = meta.find("\"head\":{\"Logistic\"").expect("a logistic head");
+    let head_end = meta.find("\"estep_iterations\"").expect("the counter after the head");
     let edits = [
-        ("config dim", format!("{}\"dim\":13{}", &meta[..cfg_dim], &meta[cfg_dim + 8..])),
-        ("context flag", meta.replace("\"context_features\":false", "\"context_features\":true")),
-        ("head width", meta.replacen("\"w\":[", "\"w\":[0.5,", 1)),
+        (
+            "config dim",
+            format!("{}\"dim\":13{}", &meta[..cfg_dim], &meta[cfg_dim + 8..]),
+            "disagree",
+        ),
+        (
+            "context flag",
+            meta.replace("\"context_features\":false", "\"context_features\":true"),
+            "disagree",
+        ),
+        ("head width", meta.replacen("\"w\":[", "\"w\":[0.5,", 1), "disagree"),
+        ("MLP head", format!("{}{mlp}{}", &meta[..head_at], &meta[head_end..]), "MLP"),
     ];
-    for (what, edited) in edits {
+    for (what, edited, names) in edits {
         assert_ne!(edited, meta, "{what}: the edit must change the meta");
         let mut mangled = parts.clone();
         mangled[meta_at].1 = edited.into_bytes();
         let err = DirectionalityModel::load(assemble(&valid, &mangled).as_slice())
             .err()
             .unwrap_or_else(|| panic!("{what}: a mismatched meta loaded"));
-        assert!(err.contains("'meta'") && err.contains("disagree"), "{what}: {err}");
+        assert!(err.contains("'meta'") && err.contains(names), "{what}: {err}");
+        assert!(!err.contains("0.8125"), "{what}: the error echoes head weights: {err}");
+    }
+}
+
+/// Earlier builds wrote the config with a `head` selector and an MLP width.
+/// Those fields are ignored on load: the same model, fingerprint and scores.
+#[test]
+fn loader_reads_meta_written_before_the_single_head() {
+    let (model, valid) = valid_container();
+    let mut parts = sections(&valid);
+    let meta_at = parts.iter().position(|(k, _)| *k == section::META).unwrap();
+    let meta = String::from_utf8(parts[meta_at].1.clone()).unwrap();
+    let at = meta.find("\"dstep_epochs\"").expect("a config dstep_epochs");
+    let old = format!("{}\"head\":\"Logistic\",\"mlp_hidden\":32,{}", &meta[..at], &meta[at..]);
+    parts[meta_at].1 = old.into_bytes();
+    let loaded = DirectionalityModel::load(assemble(&valid, &parts).as_slice())
+        .expect("an earlier build's meta loads");
+    assert_eq!(loaded.fingerprint(), model.fingerprint());
+    assert_eq!(loaded.n_ties(), model.n_ties());
+    for row in 0..model.n_ties() {
+        assert_eq!(loaded.score_row(row).to_bits(), model.score_row(row).to_bits(), "row {row}");
     }
 }

@@ -10,7 +10,7 @@
 use dd_graph::generators::{social_network, SocialNetConfig};
 use dd_graph::sampling::hide_directions;
 use dd_linalg::bytes::crc32;
-use deepdirect::{DStepHead, DeepDirect, DeepDirectConfig, DirectionalityModel};
+use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,13 +30,9 @@ fn serial_fit(cfg: DeepDirectConfig) -> DirectionalityModel {
     DeepDirect::new(cfg).fit(&hidden)
 }
 
-fn context_mlp() -> DeepDirectConfig {
-    DeepDirectConfig {
-        context_features: true,
-        head: DStepHead::Mlp,
-        mlp_hidden: 8,
-        ..DeepDirectConfig::default()
-    }
+/// The `context_features` extension: the D-Step reads `[m_e ‖ n_e]`.
+fn context() -> DeepDirectConfig {
+    DeepDirectConfig { context_features: true, ..DeepDirectConfig::default() }
 }
 
 /// Byte length and CRC-32 of the model's `.ddm` encoding.
@@ -53,9 +49,12 @@ fn serial_logistic_fit_fingerprint_is_pinned() {
 }
 
 #[test]
-fn serial_context_mlp_fit_fingerprint_is_pinned() {
-    let fp = serial_fit(context_mlp()).fingerprint();
-    assert_eq!(fp, 0x6b08_78e4_301b_b9d6, "serial context+MLP fit fingerprint moved: {fp:#018x}");
+fn serial_context_logistic_fit_fingerprint_is_pinned() {
+    let fp = serial_fit(context()).fingerprint();
+    assert_eq!(
+        fp, 0x69ca_85c7_bc40_55bb,
+        "serial context+logistic fit fingerprint moved: {fp:#018x}"
+    );
 }
 
 #[test]
@@ -63,17 +62,17 @@ fn serial_logistic_fit_ddm_bytes_are_pinned() {
     let (len, crc) = ddm_pin(&serial_fit(DeepDirectConfig::default()));
     assert_eq!(
         (len, crc),
-        (99_648, 0x2d22_d5d3),
+        (99_584, 0x6043_0bf4),
         "serial logistic .ddm moved: ({len}, {crc:#010x})"
     );
 }
 
 #[test]
-fn serial_context_mlp_fit_ddm_bytes_are_pinned() {
-    let (len, crc) = ddm_pin(&serial_fit(context_mlp()));
+fn serial_context_logistic_fit_ddm_bytes_are_pinned() {
+    let (len, crc) = ddm_pin(&serial_fit(context()));
     assert_eq!(
         (len, crc),
-        (192_576, 0xca5c_e31c),
-        "serial context+MLP .ddm moved: ({len}, {crc:#010x})"
+        (187_648, 0xb543_e61b),
+        "serial context+logistic .ddm moved: ({len}, {crc:#010x})"
     );
 }

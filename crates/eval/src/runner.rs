@@ -196,17 +196,21 @@ impl ResultSink {
     }
 
     /// Renders a `dataset × method` pivot for one x value as an ASCII table.
+    /// A cell is the mean over every matching row, so over all seeds run.
     pub fn pivot_table(&self, experiment: &str, x: f64) -> String {
+        let rows: Vec<&ExperimentRow> = self
+            .rows
+            .iter()
+            .filter(|r| r.experiment == experiment && (r.x - x).abs() < 1e-9)
+            .collect();
         let mut datasets: Vec<&str> = Vec::new();
         let mut methods: Vec<&str> = Vec::new();
-        for r in &self.rows {
-            if r.experiment == experiment && (r.x - x).abs() < 1e-9 {
-                if !datasets.contains(&r.dataset.as_str()) {
-                    datasets.push(&r.dataset);
-                }
-                if !methods.contains(&r.method.as_str()) {
-                    methods.push(&r.method);
-                }
+        for r in &rows {
+            if !datasets.contains(&r.dataset.as_str()) {
+                datasets.push(&r.dataset);
+            }
+            if !methods.contains(&r.method.as_str()) {
+                methods.push(&r.method);
             }
         }
         let mut s = format!("{experiment} @ x={x}\n{:<14}", "dataset");
@@ -217,19 +221,16 @@ impl ResultSink {
         for d in &datasets {
             s.push_str(&format!("{d:<14}"));
             for m in &methods {
-                let v = self
-                    .rows
+                let cell: Vec<f64> = rows
                     .iter()
-                    .find(|r| {
-                        r.experiment == experiment
-                            && r.dataset == *d
-                            && r.method == *m
-                            && (r.x - x).abs() < 1e-9
-                    })
-                    .map(|r| r.value);
-                match v {
-                    Some(v) => s.push_str(&format!("{v:>16.4}")),
-                    None => s.push_str(&format!("{:>16}", "-")),
+                    .filter(|r| r.dataset == *d && r.method == *m)
+                    .map(|r| r.value)
+                    .collect();
+                if cell.is_empty() {
+                    s.push_str(&format!("{:>16}", "-"));
+                } else {
+                    let mean = cell.iter().sum::<f64>() / cell.len() as f64;
+                    s.push_str(&format!("{mean:>16.4}"));
                 }
             }
             s.push('\n');
@@ -331,7 +332,9 @@ mod tests {
     #[test]
     fn sink_round_trips_and_pivots() {
         let mut sink = ResultSink::new();
-        for (d, m, v) in [("A", "HF", 0.7), ("A", "LINE", 0.6), ("B", "HF", 0.8)] {
+        for (d, m, v, seed) in
+            [("A", "HF", 0.7, 1), ("A", "LINE", 0.6, 1), ("B", "HF", 0.8, 1), ("A", "LINE", 0.5, 2)]
+        {
             sink.push(ExperimentRow {
                 experiment: "fig3".into(),
                 dataset: d.into(),
@@ -339,19 +342,21 @@ mod tests {
                 x_name: "pct".into(),
                 x: 0.5,
                 value: v,
-                seed: 1,
+                seed,
             });
         }
-        assert_eq!(sink.rows().len(), 3);
+        assert_eq!(sink.rows().len(), 4);
         let table = sink.pivot_table("fig3", 0.5);
         assert!(table.contains("HF"));
         assert!(table.contains("0.7000"));
+        assert!(table.contains("0.5500"), "a cell is the mean over its seeds:\n{table}");
+        assert!(!table.contains("0.6000"), "not the first seed's value:\n{table}");
         assert!(table.contains('-'), "missing cell renders as dash");
         let dir = std::env::temp_dir().join("dd_eval_sink_test");
         let path = dir.join("rows.jsonl").to_string_lossy().to_string();
         sink.write_jsonl(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 3);
+        assert_eq!(text.lines().count(), 4);
         let row: ExperimentRow = serde_json::from_str(text.lines().next().unwrap()).unwrap();
         assert_eq!(row.method, "HF");
         std::fs::remove_file(&path).ok();

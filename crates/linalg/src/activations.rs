@@ -47,12 +47,6 @@ pub fn cross_entropy(y: f64, p: f64) -> f64 {
     -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
 }
 
-/// Hyperbolic tangent (re-exported for the MLP head).
-#[inline]
-pub fn tanh(x: f32) -> f32 {
-    x.tanh()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,8 +13,6 @@
 //!   — [`rng`],
 //! * logistic regression (the directionality function of Sec. 3.2 and the
 //!   D-Step) — [`logreg`],
-//! * a one-hidden-layer MLP (the paper's proposed non-linear D-Step
-//!   extension) — [`mlp`],
 //! * feature standardization — [`scaler`] — and summary statistics
 //!   — [`stats`],
 //! * explicit float comparisons (`is_zero`, `approx_eq`) backing the
@@ -33,7 +31,6 @@ pub mod float;
 pub mod kernels;
 pub mod logreg;
 pub mod matrix;
-pub mod mlp;
 pub mod rng;
 pub mod scaler;
 pub mod stats;
@@ -45,6 +42,5 @@ pub use bytes::AlignedBuf;
 pub use float::{approx_eq, is_zero, is_zero32};
 pub use logreg::{LogRegConfig, LogisticRegression};
 pub use matrix::DenseMatrix;
-pub use mlp::{Mlp, MlpConfig};
 pub use rng::Pcg32;
 pub use scaler::StandardScaler;

@@ -188,21 +188,21 @@ impl LogisticRegression {
     }
 }
 
-/// How many positions ahead in the shuffled visit order the SGD loops of
-/// [`LogisticRegression::fit`] and [`crate::mlp::Mlp::fit`] prefetch a row.
+/// How many positions ahead in the shuffled visit order the SGD loop of
+/// [`LogisticRegression::fit`] prefetches a row.
 /// Eight steps of a 32-to-64-float update take about one DRAM round trip.
 /// A constant, not a knob: no value depends on it.
-pub(crate) const ROW_AHEAD: usize = 8;
+const ROW_AHEAD: usize = 8;
 
 /// Prefetches training row `i` and its label (see [`ROW_AHEAD`]).
 #[inline(always)]
-pub(crate) fn prefetch_row(xs: &DenseMatrix, ys: &[f32], i: usize) {
+fn prefetch_row(xs: &DenseMatrix, ys: &[f32], i: usize) {
     crate::kernels::prefetch(xs.row(i).as_ptr(), xs.cols());
     crate::kernels::prefetch(&ys[i], 1);
 }
 
 /// The learning rate at SGD step `step` of `total`: `base` decayed linearly
-/// to `base / 100`, the schedule both shuffled-SGD heads share.
+/// to `base / 100`, the schedule of [`LogisticRegression::fit`].
 ///
 /// `step` is counted as an integer, so the rate keeps falling past 2^24
 /// steps (an `f32` counter stops at 2^24 and freezes the rate there). Below

@@ -88,3 +88,27 @@ fn scale_one_config_matches_table2_counts() {
         assert_eq!(spec.config(1).n_nodes, nodes);
     }
 }
+
+#[test]
+fn table2_analogs_at_scale_250_seed_7_are_pinned() {
+    // The exact counts EXPERIMENTS.md's Table 2 and `results/table2.jsonl`
+    // report for `DD_SCALE=250 table2_datasets` (seed 7). A generator change
+    // that moves any of them must regenerate both.
+    let expected = [
+        ("Twitter", 260, 2044, 1602, 442),
+        ("LiveJournal", 320, 7380, 2948, 4432),
+        ("Epinions", 303, 2093, 922, 1171),
+        ("Slashdot", 309, 3630, 1617, 2013),
+        ("Tencent", 300, 2655, 1834, 821),
+    ];
+    for (spec, (name, nodes, ties, directed, bidirectional)) in all_datasets().iter().zip(expected)
+    {
+        assert_eq!(spec.name, name);
+        let s = DatasetStats::compute(spec.name, &spec.generate(250, 7).network);
+        assert_eq!(
+            (s.nodes, s.ties, s.directed, s.bidirectional),
+            (nodes, ties, directed, bidirectional),
+            "{name}"
+        );
+    }
+}
