@@ -237,6 +237,28 @@ fn loader_rejects_meta_that_disagrees_with_the_blocks() {
     }
 }
 
+/// A head under a tag this build does not know fails naming the tag alone,
+/// not the head's weights.
+#[test]
+fn loader_names_an_unknown_head_tag_without_its_weights() {
+    let (_, valid) = valid_container();
+    let mut parts = sections(&valid);
+    let meta_at = parts.iter().position(|(k, _)| *k == section::META).unwrap();
+    let meta = String::from_utf8(parts[meta_at].1.clone()).unwrap();
+    let weights_at = meta.find("{\"Logistic\":{\"w\":[").expect("a logistic head") + 18;
+    let weights_end = weights_at + meta[weights_at..].find(']').unwrap();
+    let weights: Vec<&str> = meta[weights_at..weights_end].split(',').collect();
+    assert_eq!(weights.len(), 12, "the head's weights: {weights:?}");
+    parts[meta_at].1 = meta.replacen("{\"Logistic\":", "{\"Logistix\":", 1).into_bytes();
+    let err = DirectionalityModel::load(assemble(&valid, &parts).as_slice())
+        .err()
+        .unwrap_or_else(|| panic!("an unknown head tag loaded"));
+    assert!(err.contains("'meta'") && err.contains("Logistix"), "{err}");
+    for w in weights {
+        assert!(!err.contains(w), "the error echoes head weight {w}: {err}");
+    }
+}
+
 /// Earlier builds wrote the config with a `head` selector and an MLP width.
 /// Those fields are ignored on load: the same model, fingerprint and scores.
 #[test]

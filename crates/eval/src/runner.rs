@@ -213,25 +213,47 @@ impl ResultSink {
                 methods.push(&r.method);
             }
         }
-        let mut s = format!("{experiment} @ x={x}\n{:<14}", "dataset");
+        // Each cell is the mean over its seeds, or "-" when empty.
+        let cells: Vec<Vec<String>> = datasets
+            .iter()
+            .map(|d| {
+                methods
+                    .iter()
+                    .map(|m| {
+                        let cell: Vec<f64> = rows
+                            .iter()
+                            .filter(|r| r.dataset == *d && r.method == *m)
+                            .map(|r| r.value)
+                            .collect();
+                        if cell.is_empty() {
+                            "-".to_string()
+                        } else {
+                            format!("{:.4}", cell.iter().sum::<f64>() / cell.len() as f64)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        // Every column is one space wider than its longest entry, so
+        // neighbouring names never run together.
+        let label =
+            datasets.iter().map(|d| d.len()).chain(["dataset".len()]).max().unwrap_or(0) + 1;
+        let width = methods
+            .iter()
+            .map(|m| m.len())
+            .chain(cells.iter().flatten().map(String::len))
+            .max()
+            .unwrap_or(0)
+            + 1;
+        let mut s = format!("{experiment} @ x={x}\n{:<label$}", "dataset");
         for m in &methods {
-            s.push_str(&format!("{m:>16}"));
+            s.push_str(&format!("{m:>width$}"));
         }
         s.push('\n');
-        for d in &datasets {
-            s.push_str(&format!("{d:<14}"));
-            for m in &methods {
-                let cell: Vec<f64> = rows
-                    .iter()
-                    .filter(|r| r.dataset == *d && r.method == *m)
-                    .map(|r| r.value)
-                    .collect();
-                if cell.is_empty() {
-                    s.push_str(&format!("{:>16}", "-"));
-                } else {
-                    let mean = cell.iter().sum::<f64>() / cell.len() as f64;
-                    s.push_str(&format!("{mean:>16.4}"));
-                }
+        for (d, row) in datasets.iter().zip(&cells) {
+            s.push_str(&format!("{d:<label$}"));
+            for cell in row {
+                s.push_str(&format!("{cell:>width$}"));
             }
             s.push('\n');
         }
@@ -352,6 +374,27 @@ mod tests {
         assert!(table.contains("0.5500"), "a cell is the mean over its seeds:\n{table}");
         assert!(!table.contains("0.6000"), "not the first seed's value:\n{table}");
         assert!(table.contains('-'), "missing cell renders as dash");
+        // Names longer than the old fixed 16-column cells stay apart, and
+        // every value ends under the end of its method's name.
+        sink.push(ExperimentRow {
+            experiment: "fig3".into(),
+            dataset: "A".into(),
+            method: "threshold_off_strict".into(),
+            x_name: "pct".into(),
+            x: 0.5,
+            value: 0.25,
+            seed: 1,
+        });
+        let table = sink.pivot_table("fig3", 0.5);
+        let lines: Vec<&str> = table.lines().collect();
+        let header: Vec<&str> = lines[1].split_whitespace().collect();
+        assert_eq!(header, ["dataset", "HF", "LINE", "threshold_off_strict"], "{table}");
+        let name_end = lines[1].len();
+        assert_eq!(lines[2].len(), name_end, "row A's last value is misaligned:\n{table}");
+        assert!(lines[2].ends_with(" 0.2500"), "{table}");
+        assert_eq!(lines[3].len(), name_end, "row B's dash is misaligned:\n{table}");
+        assert!(lines[3].ends_with(" -"), "{table}");
+        sink.rows.pop();
         let dir = std::env::temp_dir().join("dd_eval_sink_test");
         let path = dir.join("rows.jsonl").to_string_lossy().to_string();
         sink.write_jsonl(&path).unwrap();

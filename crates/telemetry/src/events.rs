@@ -34,7 +34,7 @@ pub mod kind {
     pub const ESTEP_PROGRESS: &str = "estep.progress";
     /// End-of-E-Step summary. Same fields as progress.
     pub const ESTEP_SUMMARY: &str = "estep.summary";
-    /// D-Step / fold-in logistic-regression epoch. Fields: `name` (stage),
+    /// D-Step Newton step (or fold-in epoch). Fields: `name` (stage),
     /// `epoch`, `total_epochs`, `sampled_loss`.
     pub const DSTEP_EPOCH: &str = "dstep.epoch";
     /// A point metric reading. Fields: `name`, `value`, `unit`.
@@ -84,9 +84,9 @@ pub struct Event {
     pub iters_per_sec: Option<f64>,
     /// Iterations completed by each Hogwild worker at the sample point.
     pub per_worker_iterations: Option<Vec<u64>>,
-    /// Epoch number (D-Step).
+    /// Epoch number (D-Step: Newton step).
     pub epoch: Option<u64>,
-    /// Total epochs planned (D-Step).
+    /// Total epochs planned (D-Step: the step cap).
     pub total_epochs: Option<u64>,
     /// Value of a point metric.
     pub value: Option<f64>,

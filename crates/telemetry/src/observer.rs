@@ -59,11 +59,12 @@ impl EStepProgress {
 pub struct EpochProgress {
     /// Stage name, e.g. `"dstep"`.
     pub stage: String,
-    /// 1-based epoch number.
+    /// 1-based epoch number (for the D-Step: the Newton step).
     pub epoch: u64,
-    /// Planned epochs.
+    /// Planned epochs (for the D-Step: the step cap; it may stop sooner).
     pub total_epochs: u64,
-    /// Mean log-loss over the training set after this epoch.
+    /// Training loss after this epoch. The D-Step reports its full
+    /// objective: mean log-loss plus the L2 term.
     pub loss: f64,
 }
 
