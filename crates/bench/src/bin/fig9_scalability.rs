@@ -11,7 +11,7 @@
 //! timed under a `fig9.fit` span appended to the unified
 //! `<out_dir>/telemetry.jsonl` event log.
 
-use dd_bench::{num_threads, BenchEnv};
+use dd_bench::BenchEnv;
 use dd_datasets::tencent;
 use dd_eval::runner::{ExperimentRow, ResultSink};
 use dd_graph::sampling::bfs_subnetwork;
@@ -69,7 +69,7 @@ fn main() {
     let (a, b) = linear_fit(&xs, &ys);
     let r2 = r_squared(&xs, &ys);
     println!("\nlinear fit: time = {a:.3e} * |E| + {b:.3}  (R² = {r2:.4})");
-    println!("(available parallelism for the Hogwild extension: {} threads)", num_threads());
+    println!("(every fit ran on 1 thread, so the times do not depend on the host's core count)");
     sink.write_jsonl(&env.out_path("fig9.jsonl")).expect("write fig9.jsonl");
     println!("wrote {}", env.out_path("fig9.jsonl"));
     obs.flush();

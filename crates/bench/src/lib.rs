@@ -108,15 +108,17 @@ impl BenchEnv {
 }
 
 /// DeepDirect configuration used across the figure binaries: paper
-/// hyper-parameters with a wall-clock-bounding iteration cap and Hogwild
-/// parallelism (the cap only binds on the densest datasets; `DD_SCALE=1`
-/// users should raise it).
+/// hyper-parameters with a wall-clock-bounding iteration cap (it only binds
+/// on the densest datasets; `DD_SCALE=1` users should raise it), on one
+/// thread. A serial fit is a pure function of its seed, so the
+/// EXPERIMENTS.md figures do not depend on the host's core count; the
+/// Hogwild E-Step is the one stage that would (DESIGN.md §7.9).
 pub fn bench_deepdirect_config(dim: usize, seed: u64) -> DeepDirectConfig {
     DeepDirectConfig {
         dim,
         seed,
         max_iterations: Some(4_000_000),
-        threads: num_threads(),
+        threads: 1,
         ..Default::default()
     }
 }
@@ -136,12 +138,6 @@ pub fn bench_suite(seed: u64) -> Vec<Method> {
         Method::RedirectN(RedirectNConfig { seed, ..Default::default() }),
         Method::RedirectT(RedirectTConfig::default()),
     ]
-}
-
-/// Worker threads for Hogwild E-Steps: physical parallelism minus one,
-/// clamped to `[1, 8]`.
-pub fn num_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).saturating_sub(1).clamp(1, 8)
 }
 
 /// Writes a simple CSV file (creating parent directories).
@@ -216,6 +212,18 @@ mod tests {
         assert_eq!(suite.len(), 5);
         let cfg = bench_deepdirect_config(64, 1);
         assert!(cfg.validate().is_ok());
-        assert!(num_threads() >= 1);
+    }
+
+    /// Figure fits are serial on every host: two fits of one config agree
+    /// bit for bit, which a Hogwild E-Step on a host with spare cores
+    /// would not.
+    #[test]
+    fn figure_fits_are_reproducible() {
+        let env = BenchEnv { scale: 400, seed: 1, n_seeds: 1, out_dir: "/tmp".into() };
+        let h = env.hidden_split(&twitter(), 0.5, 3);
+        let cfg =
+            DeepDirectConfig { max_iterations: Some(40_000), ..bench_deepdirect_config(16, 3) };
+        let fit = || deepdirect::DeepDirect::new(cfg.clone()).fit(&h.network).fingerprint();
+        assert_eq!(fit(), fit());
     }
 }

@@ -33,7 +33,7 @@ use dd_graph::{MixedSocialNetwork, NodeId};
 use dd_runtime::Threads;
 use deepdirect::apps::discovery::discover_directions;
 use deepdirect::telemetry::{Event, Fanout, JsonlSink, ObserverHandle, ProgressSink};
-use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
+use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel, ScoreTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -185,17 +185,32 @@ fn load_net(path: &str) -> Result<MixedSocialNetwork, String> {
     load_edge_list(path).map_err(|e| format!("loading '{path}': {e}"))
 }
 
-/// Loads a `.ddm` model under a `model.load` telemetry span, and records the
+/// Runs `load` under a `model.load` telemetry span, and records the
 /// artifact's size as a `model.load.bytes` metric so traces show effective
 /// load bandwidth alongside the wall time.
-fn load_model_traced(path: &str, obs: &ObserverHandle) -> Result<DirectionalityModel, String> {
-    let (loaded, _seconds) = obs.time("model.load", || DirectionalityModel::load_from_path(path));
+fn load_traced<T>(
+    path: &str,
+    obs: &ObserverHandle,
+    load: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    let (loaded, _seconds) = obs.time("model.load", || load(path));
     if obs.is_enabled() {
         if let Ok(meta) = std::fs::metadata(path) {
             obs.on_event(&Event::metric("model.load.bytes", meta.len() as f64, Some("bytes")));
         }
     }
     loaded
+}
+
+/// Loads a `.ddm` model whole, under [`load_traced`]'s telemetry.
+fn load_model_traced(path: &str, obs: &ObserverHandle) -> Result<DirectionalityModel, String> {
+    load_traced(path, obs, |p| DirectionalityModel::load_from_path(p))
+}
+
+/// Streams a `.ddm` into the score table a shard serves, under
+/// [`load_traced`]'s telemetry; head scores only for a streaming shard.
+fn load_table_traced(path: &str, obs: &ObserverHandle, stream: bool) -> Result<ScoreTable, String> {
+    load_traced(path, obs, |p| ScoreTable::load_from_path(p, stream))
 }
 
 fn fit_or_load(args: &Args, g: &MixedSocialNetwork) -> Result<DirectionalityModel, String> {
@@ -353,7 +368,8 @@ fn serve(args: &Args) -> Result<String, String> {
     }
     let model_path = args.positional(0, "model")?;
     let observer = serve_observer(args)?;
-    let model = Arc::new(load_model_traced(model_path, &observer)?);
+    let stream = args.get_bool("stream");
+    let table = Arc::new(load_table_traced(model_path, &observer, stream)?);
 
     let host = args.get("host", "127.0.0.1");
     let port: u16 = args.get_num("port", 8080u16)?;
@@ -364,18 +380,17 @@ fn serve(args: &Args) -> Result<String, String> {
         request_timeout: Duration::from_millis(args.get_num("request-timeout-ms", 5000u64)?),
         queue_depth: args.get_num("queue-depth", 64usize)?,
         observer,
-        stream: args.get_bool("stream"),
+        stream,
         // Fault injection stays off in production; only tests flip it.
         panic_route: false,
     };
-    let streaming = cfg.stream;
 
     dd_serve::signal::install_handlers();
-    let handle = dd_serve::Server::start(model, cfg)?;
+    let handle = dd_serve::Server::start(table, cfg)?;
     // The parseable contract line: tooling (and the e2e test) reads the
     // resolved address from here, which is how `--port 0` is usable.
     println!("dd-serve listening on http://{}", handle.addr());
-    if streaming {
+    if stream {
         println!(
             "endpoints: /healthz  /score?src=A&dst=B  /batch  /ingest  /metrics   (ctrl-c stops)"
         );
@@ -1225,13 +1240,13 @@ mod tests {
         run_words(&["train", &edges, "--out", &model_path, "--dim", "8", "--iterations", "2000"])
             .unwrap();
         let obs = Fanout::new().into_handle();
-        let model = Arc::new(load_model_traced(&model_path, &obs).unwrap());
+        let table = Arc::new(load_table_traced(&model_path, &obs, true).unwrap());
         let cfg = dd_serve::ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             stream: true,
             ..Default::default()
         };
-        let handle = dd_serve::Server::start(model, cfg).unwrap();
+        let handle = dd_serve::Server::start(table, cfg).unwrap();
         let addr = handle.addr().to_string();
         let log = tmp("ingest_log.jsonl");
         std::fs::write(

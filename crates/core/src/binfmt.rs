@@ -24,19 +24,28 @@
 //! bumps the container version, value-interpretation changes bump the model
 //! schema version.
 //!
+//! Two loaders read it. `decode` takes the whole file and adopts its blocks
+//! zero-copy (`DirectionalityModel::load*`). `decode_scores` streams the
+//! float blocks through one reused chunk and keeps only each row's score and
+//! each head's fold-in score (`ScoreTable::load*`, what a `dd serve` shard
+//! holds). Both run the same checks in the same order.
+//!
 //! Every validation failure is a typed [`BinaryFormatError`] naming the
-//! offending section — the loader never panics on hostile input (pinned by
+//! offending section — neither loader panics on hostile input (pinned by
 //! the corrupt-binary chaos suite).
 
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 
 use dd_linalg::bytes::{self, AlignedBuf, BLOCK_ALIGN};
+use dd_linalg::kernels::dot8_f64;
+use dd_linalg::sigmoid64;
 use serde::{Deserialize, Serialize};
 
 use crate::config::DeepDirectConfig;
 use crate::dstep::{self, DirectionalityHead};
-use crate::model::MODEL_SCHEMA_VERSION;
+use crate::model::{pair_index_of, Fingerprint, MODEL_SCHEMA_VERSION};
+use crate::scores::{HeadSums, ScoreTable};
 use crate::store::{align_up, TieStore};
 
 /// Magic bytes opening every binary model file. PNG-style: a non-ASCII lead
@@ -250,15 +259,6 @@ struct MetaDoc {
     estep_iterations: u64,
 }
 
-/// One parsed section-table entry.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    kind: u32,
-    crc: u32,
-    offset: u64,
-    len: u64,
-}
-
 /// Everything [`decode`] extracts from a validated buffer.
 pub(crate) struct DecodedModel {
     pub cfg: DeepDirectConfig,
@@ -266,6 +266,52 @@ pub(crate) struct DecodedModel {
     pub estep_iterations: u64,
     pub ties: Vec<(u32, u32)>,
     pub store: TieStore,
+}
+
+/// One section as the table places it.
+#[derive(Debug, Clone, Copy)]
+struct Section {
+    name: &'static str,
+    crc: u32,
+    offset: usize,
+    len: usize,
+}
+
+impl Section {
+    fn range(&self) -> Range<usize> {
+        self.offset..self.offset + self.len
+    }
+
+    /// Fails unless `computed` is the payload CRC the table stores.
+    fn check_crc(&self, computed: u32) -> Result<(), BinaryFormatError> {
+        if computed != self.crc {
+            return Err(BinaryFormatError::SectionChecksum {
+                name: self.name,
+                stored: self.crc,
+                computed,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Where every section lies: meta, tie.src, tie.dst, embeddings and the
+/// optional contexts block. Proved from the header, the table and the file
+/// length alone.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    meta: Section,
+    src: Section,
+    dst: Section,
+    emb: Section,
+    ctx: Option<Section>,
+}
+
+impl Layout {
+    /// The float blocks, in the order they are checked and fingerprinted.
+    fn blocks(&self) -> impl Iterator<Item = Section> {
+        std::iter::once(self.emb).chain(self.ctx)
+    }
 }
 
 fn read_u32(bytes: &[u8], off: usize) -> u32 {
@@ -278,172 +324,112 @@ fn read_u64(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
-/// Byte ranges of the validated sections, in kind order: meta, tie.src,
-/// tie.dst, embeddings, and the optional contexts block.
-type SectionRanges = (Range<usize>, Range<usize>, Range<usize>, Range<usize>, Option<Range<usize>>);
-
-/// Structural validation: header, table checksum, section bounds, alignment
-/// and payload checksums. Returns the byte range of each section. Runs
-/// before any endianness fixup because every check is over raw LE bytes.
-fn validate_structure(bytes: &[u8]) -> Result<SectionRanges, BinaryFormatError> {
+/// Checks the fixed header. `head` is the first `min(file_len, HEADER_LEN)`
+/// bytes of a `file_len`-byte file; returns where the section table ends.
+fn table_end(head: &[u8], file_len: usize) -> Result<usize, BinaryFormatError> {
     // The magic comes first, so a short file that is not a `.ddm` (a small
     // JSON document, say) is named as such rather than as truncated.
-    let lead = bytes.len().min(MAGIC.len());
-    if bytes[..lead] != MAGIC[..lead] {
+    let lead = head.len().min(MAGIC.len());
+    if head[..lead] != MAGIC[..lead] {
         return Err(BinaryFormatError::BadMagic);
     }
-    if bytes.len() < HEADER_LEN {
+    if file_len < HEADER_LEN {
         return Err(BinaryFormatError::Truncated {
             what: "header",
             needed: HEADER_LEN,
-            got: bytes.len(),
+            got: file_len,
         });
     }
-    let version = read_u32(bytes, 8);
+    let version = read_u32(head, 8);
     if version != FORMAT_VERSION {
         return Err(BinaryFormatError::UnsupportedFormatVersion(version));
     }
-    let schema = read_u32(bytes, 12);
+    let schema = read_u32(head, 12);
     if schema != MODEL_SCHEMA_VERSION {
         return Err(BinaryFormatError::SchemaMismatch { found: schema });
     }
-    let n_sections = read_u32(bytes, 16);
+    let n_sections = read_u32(head, 16);
     if n_sections == 0 || n_sections > 8 {
         return Err(BinaryFormatError::BadSectionCount(n_sections));
     }
-    let table_len = n_sections as usize * ENTRY_LEN;
-    let table_end = HEADER_LEN + table_len;
-    if bytes.len() < table_end {
+    let table_end = HEADER_LEN + n_sections as usize * ENTRY_LEN;
+    if file_len < table_end {
         return Err(BinaryFormatError::Truncated {
             what: "section table",
             needed: table_end,
-            got: bytes.len(),
+            got: file_len,
         });
     }
-    let stored_crc = read_u32(bytes, 20);
-    let computed_crc = bytes::crc32(&bytes[HEADER_LEN..table_end]);
+    Ok(table_end)
+}
+
+/// Checks the section table. `lead` is the file's first
+/// [`table_end`] bytes: the table's checksum, each entry's kind, bounds,
+/// alignment and length, that the last section ends the file and that every
+/// required section is present. Payload checksums are the caller's, since
+/// only the caller holds the payloads.
+fn layout(lead: &[u8], file_len: usize) -> Result<Layout, BinaryFormatError> {
+    let stored_crc = read_u32(lead, 20);
+    let computed_crc = bytes::crc32(&lead[HEADER_LEN..]);
     if stored_crc != computed_crc {
         return Err(BinaryFormatError::HeaderChecksum {
             stored: stored_crc,
             computed: computed_crc,
         });
     }
-
-    let mut entries: Vec<Entry> = Vec::with_capacity(n_sections as usize);
-    for i in 0..n_sections as usize {
-        let base = HEADER_LEN + i * ENTRY_LEN;
-        entries.push(Entry {
-            kind: read_u32(bytes, base),
-            crc: read_u32(bytes, base + 4),
-            offset: read_u64(bytes, base + 8),
-            len: read_u64(bytes, base + 16),
-        });
-    }
-
-    let mut ranges: [Option<Range<usize>>; 5] = [None, None, None, None, None];
+    let table_end = lead.len();
+    let mut sections: [Option<Section>; 5] = [None; 5];
     let mut file_end = table_end;
-    for e in &entries {
-        if !(section::META..=section::CTX).contains(&e.kind) {
-            return Err(BinaryFormatError::UnknownSection(e.kind));
+    for base in (HEADER_LEN..table_end).step_by(ENTRY_LEN) {
+        let (kind, crc) = (read_u32(lead, base), read_u32(lead, base + 4));
+        let (offset, len) = (read_u64(lead, base + 8), read_u64(lead, base + 16));
+        if !(section::META..=section::CTX).contains(&kind) {
+            return Err(BinaryFormatError::UnknownSection(kind));
         }
-        let name = section_name(e.kind);
-        let slot = &mut ranges[(e.kind - 1) as usize];
+        let name = section_name(kind);
+        let slot = &mut sections[(kind - 1) as usize];
         if slot.is_some() {
             return Err(BinaryFormatError::DuplicateSection(name));
         }
-        let end = e.offset.checked_add(e.len).filter(|&end| end <= bytes.len() as u64).ok_or(
-            BinaryFormatError::SectionBounds {
-                name,
-                offset: e.offset,
-                len: e.len,
-                file_len: bytes.len(),
-            },
-        )?;
-        if e.offset < table_end as u64 {
-            return Err(BinaryFormatError::SectionBounds {
-                name,
-                offset: e.offset,
-                len: e.len,
-                file_len: bytes.len(),
-            });
+        let out_of_bounds = || BinaryFormatError::SectionBounds { name, offset, len, file_len };
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= file_len as u64)
+            .ok_or_else(out_of_bounds)?;
+        if offset < table_end as u64 {
+            return Err(out_of_bounds());
         }
-        if e.kind != section::META {
-            if e.offset % BLOCK_ALIGN as u64 != 0 {
-                return Err(BinaryFormatError::Misaligned { name, offset: e.offset });
+        if kind != section::META {
+            if offset % BLOCK_ALIGN as u64 != 0 {
+                return Err(BinaryFormatError::Misaligned { name, offset });
             }
-            if e.len % 4 != 0 {
-                return Err(BinaryFormatError::BadSectionLength { name, len: e.len });
+            if len % 4 != 0 {
+                return Err(BinaryFormatError::BadSectionLength { name, len });
             }
         }
-        let range = e.offset as usize..end as usize;
-        let computed = bytes::crc32(&bytes[range.clone()]);
-        if computed != e.crc {
-            return Err(BinaryFormatError::SectionChecksum { name, stored: e.crc, computed });
-        }
-        file_end = file_end.max(range.end);
-        *slot = Some(range);
+        file_end = file_end.max(end as usize);
+        *slot = Some(Section { name, crc, offset: offset as usize, len: len as usize });
     }
-    if file_end != bytes.len() {
-        return Err(BinaryFormatError::TrailingBytes { expected: file_end, got: bytes.len() });
+    if file_end != file_len {
+        return Err(BinaryFormatError::TrailingBytes { expected: file_end, got: file_len });
     }
-    let [meta, src, dst, emb, ctx] = ranges;
-    let meta = meta.ok_or(BinaryFormatError::MissingSection("meta"))?;
-    let src = src.ok_or(BinaryFormatError::MissingSection("tie.src"))?;
-    let dst = dst.ok_or(BinaryFormatError::MissingSection("tie.dst"))?;
-    let emb = emb.ok_or(BinaryFormatError::MissingSection("embeddings"))?;
-    Ok((meta, src, dst, emb, ctx))
+    let [meta, src, dst, emb, ctx] = sections;
+    Ok(Layout {
+        meta: meta.ok_or(BinaryFormatError::MissingSection("meta"))?,
+        src: src.ok_or(BinaryFormatError::MissingSection("tie.src"))?,
+        dst: dst.ok_or(BinaryFormatError::MissingSection("tie.dst"))?,
+        emb: emb.ok_or(BinaryFormatError::MissingSection("embeddings"))?,
+        ctx,
+    })
 }
 
-/// LE→native fixup for the numeric sections: a no-op on little-endian
-/// hosts, an in-place word swap on big-endian ones.
-fn normalize_endianness(buf: &mut AlignedBuf, ranges: &[Range<usize>]) {
-    #[cfg(target_endian = "big")]
-    for r in ranges {
-        bytes::swap_u32_bytes_in_place(&mut buf.as_mut_bytes()[r.clone()]);
-    }
-    #[cfg(not(target_endian = "big"))]
-    let _ = (buf, ranges);
-}
-
-/// Floats the finiteness scan tests per branch.
-const FINITE_CHUNK: usize = 64;
-
-/// Checks a float block's shape and that every value is finite. The scan
-/// ORs a branch-free test over each [`FINITE_CHUNK`] values, so it
-/// vectorizes, and looks for the exact element only in a chunk that fails.
-fn check_f32_block(
-    bytes: &[u8],
-    range: Range<usize>,
-    name: &'static str,
-    expected: usize,
-) -> Result<(), BinaryFormatError> {
-    let floats = bytes::f32_slice(&bytes[range])
-        .map_err(|_| BinaryFormatError::BadSectionLength { name, len: 0 })?;
-    if floats.len() != expected {
-        return Err(BinaryFormatError::ShapeMismatch { name, expected, got: floats.len() });
-    }
-    const EXPONENT: u32 = 0x7F80_0000;
-    for (c, chunk) in floats.chunks(FINITE_CHUNK).enumerate() {
-        // NaN and ±inf are the values whose exponent bits are all set: only
-        // there does adding one to the exponent carry into the sign bit.
-        let carries = chunk.iter().fold(0, |acc, v| acc | ((v.to_bits() & EXPONENT) + (1 << 23)));
-        if carries & 0x8000_0000 != 0 {
-            let at =
-                chunk.iter().position(|v| !v.is_finite()).expect("a value of the chunk failed");
-            return Err(BinaryFormatError::NonFinite { name, index: c * FINITE_CHUNK + at });
-        }
-    }
-    Ok(())
-}
-
-/// Validates `buf` fully and decodes it into model parts, adopting the
-/// numeric blocks zero-copy (the embedding slices borrow the same
-/// allocation the file was read into).
-pub(crate) fn decode(mut buf: AlignedBuf) -> Result<DecodedModel, BinaryFormatError> {
-    let (meta_r, src_r, dst_r, emb_r, ctx_r) = validate_structure(buf.as_bytes())?;
-
-    let text = std::str::from_utf8(&buf.as_bytes()[meta_r])
-        .map_err(|e| BinaryFormatError::Meta(e.to_string()))?;
+/// Parses the meta section and checks it against the sections the table
+/// declares: the config and head must describe the blocks (fold-in sizes
+/// its features from the config, and scoring dots the head's weights
+/// against the rows), and every section must hold the shape the meta
+/// declares.
+fn parse_meta(payload: &[u8], layout: &Layout) -> Result<MetaDoc, BinaryFormatError> {
+    let text = std::str::from_utf8(payload).map_err(|e| BinaryFormatError::Meta(e.to_string()))?;
     let doc: serde_json::Value =
         serde_json::from_str(text).map_err(|e| BinaryFormatError::Meta(e.to_string()))?;
     // Older builds could write a one-hidden-layer MLP head. Name it, rather
@@ -462,9 +448,6 @@ pub(crate) fn decode(mut buf: AlignedBuf) -> Result<DecodedModel, BinaryFormatEr
     }
     let rows = meta.rows as usize;
     let dim = meta.dim as usize;
-    // The config and head must describe the blocks they travel with: fold-in
-    // sizes its features from the config, and scoring dots the head's
-    // weights against the rows.
     let DirectionalityHead::Logistic(lr) = &meta.head;
     let head_features = lr.w.len();
     if meta.cfg.dim != dim
@@ -477,52 +460,112 @@ pub(crate) fn decode(mut buf: AlignedBuf) -> Result<DecodedModel, BinaryFormatEr
             meta.cfg.dim, meta.cfg.context_features, meta.context
         )));
     }
-
-    // The payloads are little-endian on disk; flip each aligned word once on
-    // big-endian targets (checksums were verified over the raw bytes above).
-    let numeric: Vec<Range<usize>> =
-        [src_r.clone(), dst_r.clone(), emb_r.clone()].into_iter().chain(ctx_r.clone()).collect();
-    normalize_endianness(&mut buf, &numeric);
-
     let expected = rows.checked_mul(dim).ok_or(BinaryFormatError::ShapeMismatch {
         name: "embeddings",
         expected: usize::MAX,
         got: 0,
     })?;
-    check_f32_block(buf.as_bytes(), emb_r.clone(), "embeddings", expected)?;
-    match (&ctx_r, meta.context) {
-        (Some(r), true) => check_f32_block(buf.as_bytes(), r.clone(), "contexts", expected)?,
+    let shape = |s: &Section, expected: usize| {
+        if s.len / 4 != expected {
+            return Err(BinaryFormatError::ShapeMismatch {
+                name: s.name,
+                expected,
+                got: s.len / 4,
+            });
+        }
+        Ok(())
+    };
+    shape(&layout.emb, expected)?;
+    match (&layout.ctx, meta.context) {
+        (Some(ctx), true) => shape(ctx, expected)?,
         (None, false) => {}
         (Some(_), false) => return Err(BinaryFormatError::DuplicateSection("contexts")),
         (None, true) => return Err(BinaryFormatError::MissingSection("contexts")),
     }
+    shape(&layout.src, rows)?;
+    shape(&layout.dst, rows)?;
+    Ok(meta)
+}
+
+/// LE→native fixup for a numeric payload: a no-op on little-endian hosts,
+/// an in-place word swap on big-endian ones.
+fn normalize_endianness(payload: &mut [u8]) {
+    if cfg!(target_endian = "big") {
+        bytes::swap_u32_bytes_in_place(payload);
+    }
+}
+
+/// Floats the finiteness scan tests per branch.
+const FINITE_CHUNK: usize = 64;
+
+/// Index of the first non-finite value of `floats`. The scan ORs a
+/// branch-free test over each [`FINITE_CHUNK`] values, so it vectorizes,
+/// and looks for the exact element only in a chunk that fails.
+fn first_non_finite(floats: &[f32]) -> Option<usize> {
+    const EXPONENT: u32 = 0x7F80_0000;
+    for (c, chunk) in floats.chunks(FINITE_CHUNK).enumerate() {
+        // NaN and ±inf are the values whose exponent bits are all set: only
+        // there does adding one to the exponent carry into the sign bit.
+        let carries = chunk.iter().fold(0, |acc, v| acc | ((v.to_bits() & EXPONENT) + (1 << 23)));
+        if carries & 0x8000_0000 != 0 {
+            return chunk.iter().position(|v| !v.is_finite()).map(|at| c * FINITE_CHUNK + at);
+        }
+    }
+    None
+}
+
+/// Borrows a checked section's payload as `u32`s or `f32`s.
+fn u32s<'a>(payload: &'a [u8], name: &'static str) -> Result<&'a [u32], BinaryFormatError> {
+    bytes::u32_slice(payload).map_err(|_| BinaryFormatError::BadSectionLength { name, len: 0 })
+}
+
+fn f32s<'a>(payload: &'a [u8], name: &'static str) -> Result<&'a [f32], BinaryFormatError> {
+    bytes::f32_slice(payload).map_err(|_| BinaryFormatError::BadSectionLength { name, len: 0 })
+}
+
+/// Validates `buf` fully and decodes it into model parts, adopting the
+/// numeric blocks zero-copy (the embedding slices borrow the same
+/// allocation the file was read into).
+///
+/// The checks run in the order [`decode_scores`] runs them: header and
+/// table, the checksums of meta and ties, the meta and shape checks, then
+/// each float block's checksum before its finiteness scan. So both loaders
+/// give any input the same verdict, and a corrupt block fails on its
+/// checksum, not on whatever value the corruption left in it.
+pub(crate) fn decode(mut buf: AlignedBuf) -> Result<DecodedModel, BinaryFormatError> {
+    let file = buf.as_bytes();
+    let lead = table_end(&file[..file.len().min(HEADER_LEN)], file.len())?;
+    let layout = layout(&file[..lead], file.len())?;
+    for s in [layout.meta, layout.src, layout.dst] {
+        s.check_crc(bytes::crc32(&file[s.range()]))?;
+    }
+    let meta = parse_meta(&file[layout.meta.range()], &layout)?;
+    // The payloads are little-endian on disk; each aligned word flips once
+    // on big-endian targets, after its checksum was verified over the raw
+    // bytes.
+    for s in [layout.src, layout.dst] {
+        normalize_endianness(&mut buf.as_mut_bytes()[s.range()]);
+    }
+    for block in layout.blocks() {
+        block.check_crc(bytes::crc32(&buf.as_bytes()[block.range()]))?;
+        normalize_endianness(&mut buf.as_mut_bytes()[block.range()]);
+        if let Some(index) = first_non_finite(f32s(&buf.as_bytes()[block.range()], block.name)?) {
+            return Err(BinaryFormatError::NonFinite { name: block.name, index });
+        }
+    }
 
     let ties = {
-        let src = bytes::u32_slice(&buf.as_bytes()[src_r.clone()])
-            .map_err(|_| BinaryFormatError::BadSectionLength { name: "tie.src", len: 0 })?;
-        let dst = bytes::u32_slice(&buf.as_bytes()[dst_r.clone()])
-            .map_err(|_| BinaryFormatError::BadSectionLength { name: "tie.dst", len: 0 })?;
-        if src.len() != rows {
-            return Err(BinaryFormatError::ShapeMismatch {
-                name: "tie.src",
-                expected: rows,
-                got: src.len(),
-            });
-        }
-        if dst.len() != rows {
-            return Err(BinaryFormatError::ShapeMismatch {
-                name: "tie.dst",
-                expected: rows,
-                got: dst.len(),
-            });
-        }
+        let src = u32s(&buf.as_bytes()[layout.src.range()], layout.src.name)?;
+        let dst = u32s(&buf.as_bytes()[layout.dst.range()], layout.dst.name)?;
         src.iter().copied().zip(dst.iter().copied()).collect::<Vec<(u32, u32)>>()
     };
 
-    let (emb_off, ctx_off) = (emb_r.start, ctx_r.map(|r| r.start));
+    let (rows, dim) = (meta.rows as usize, meta.dim as usize);
+    let (emb_off, ctx_off) = (layout.emb.offset, layout.ctx.map(|c| c.offset));
     let store = TieStore::adopt(buf, dim, rows, emb_off, ctx_off).map_err(|e| {
-        // adopt re-checks what validate_structure already proved; a failure
-        // here means the shape arithmetic disagrees with the section length.
+        // adopt re-checks what the layout and shape checks already proved; a
+        // failure here means the shape arithmetic disagrees with the section
+        // length.
         BinaryFormatError::Meta(format!("block adoption failed: {e}"))
     })?;
 
@@ -533,6 +576,153 @@ pub(crate) fn decode(mut buf: AlignedBuf) -> Result<DecodedModel, BinaryFormatEr
         ties,
         store,
     })
+}
+
+/// Why a streamed load failed: the reader, or the bytes it gave.
+#[derive(Debug)]
+pub(crate) enum StreamError {
+    /// The reader failed.
+    Io(std::io::Error),
+    /// The bytes are not a loadable model.
+    Format(BinaryFormatError),
+}
+
+impl From<std::io::Error> for StreamError {
+    fn from(e: std::io::Error) -> Self {
+        StreamError::Io(e)
+    }
+}
+
+impl From<BinaryFormatError> for StreamError {
+    fn from(e: BinaryFormatError) -> Self {
+        StreamError::Format(e)
+    }
+}
+
+/// Bytes [`decode_scores`] reads of a float block at a time (rounded down
+/// to whole rows).
+const CHUNK_BYTES: usize = 1 << 20;
+
+/// Reads `s`'s payload into a fresh aligned buffer.
+fn read_section<R: Read + Seek>(r: &mut R, s: &Section) -> std::io::Result<AlignedBuf> {
+    r.seek(SeekFrom::Start(s.offset as u64))?;
+    AlignedBuf::read_exact_from(r, s.len)
+}
+
+/// Streams float block `s` through `chunk`, whose length is a whole number
+/// of rows of `row_len` floats. Each piece is checksummed over its raw
+/// bytes, fed to the fingerprint as native bytes, scanned for non-finite
+/// values and handed to `each` with the index of its first row. A
+/// non-finite value is reported only once the block's checksum has
+/// matched, as [`decode`] reports it.
+fn stream_block<R: Read + Seek>(
+    r: &mut R,
+    s: &Section,
+    row_len: usize,
+    chunk: &mut AlignedBuf,
+    fingerprint: &mut Fingerprint,
+    mut each: impl FnMut(usize, &[f32]),
+) -> Result<(), StreamError> {
+    r.seek(SeekFrom::Start(s.offset as u64))?;
+    let mut crc = 0;
+    let mut non_finite = None;
+    let mut done = 0;
+    while done < s.len {
+        let take = (s.len - done).min(chunk.len());
+        let piece = &mut chunk.as_mut_bytes()[..take];
+        r.read_exact(piece)?;
+        crc = bytes::crc32_update(crc, piece);
+        normalize_endianness(piece);
+        fingerprint.update(piece);
+        let floats = f32s(piece, s.name)?;
+        let first = done / 4;
+        if non_finite.is_none() {
+            non_finite = first_non_finite(floats).map(|at| first + at);
+        }
+        each(first / row_len, floats);
+        done += take;
+    }
+    s.check_crc(crc)?;
+    match non_finite {
+        Some(index) => Err(BinaryFormatError::NonFinite { name: s.name, index }.into()),
+        None => Ok(()),
+    }
+}
+
+/// Validates a `.ddm` read from `r` and computes what a shard serves from
+/// it: every row's score, with `fold_in`, every head's fold-in score, and
+/// the fingerprint, without holding the float blocks. Meta and ties are
+/// read whole; the embedding block, then the context block, stream
+/// through one reused chunk of about [`CHUNK_BYTES`]. Every check is
+/// [`decode`]'s, in the same order, and every score is computed with the
+/// arithmetic of [`DirectionalityModel::score_row`] and
+/// [`FoldInIndex`](crate::FoldInIndex) on the rows in ascending order, so
+/// the values are bit-identical to the loaded model's.
+///
+/// [`DirectionalityModel::score_row`]: crate::DirectionalityModel::score_row
+pub(crate) fn decode_scores<R: Read + Seek>(
+    r: &mut R,
+    fold_in: bool,
+) -> Result<ScoreTable, StreamError> {
+    let file_len = usize::try_from(r.seek(SeekFrom::End(0))?)
+        .map_err(|e| std::io::Error::other(format!("file too large: {e}")))?;
+    r.seek(SeekFrom::Start(0))?;
+    let mut lead = vec![0u8; file_len.min(HEADER_LEN)];
+    r.read_exact(&mut lead)?;
+    let end = table_end(&lead, file_len)?;
+    lead.resize(end, 0);
+    r.read_exact(&mut lead[HEADER_LEN..])?;
+    let layout = layout(&lead, file_len)?;
+    let meta_bytes = read_section(r, &layout.meta)?;
+    layout.meta.check_crc(bytes::crc32(meta_bytes.as_bytes()))?;
+    let mut ties = [read_section(r, &layout.src)?, read_section(r, &layout.dst)?];
+    for (s, payload) in [layout.src, layout.dst].iter().zip(&ties) {
+        s.check_crc(bytes::crc32(payload.as_bytes()))?;
+    }
+    let meta = parse_meta(meta_bytes.as_bytes(), &layout)?;
+    drop(meta_bytes);
+    for payload in &mut ties {
+        normalize_endianness(payload.as_mut_bytes());
+    }
+    let [src, dst] = &ties;
+    let src = u32s(src.as_bytes(), layout.src.name)?;
+    let dst = u32s(dst.as_bytes(), layout.dst.name)?;
+
+    let (rows, dim) = (meta.rows as usize, meta.dim as usize);
+    let mut fingerprint = Fingerprint::new(dim, rows);
+    fingerprint.ties(src.iter().copied().zip(dst.iter().copied()));
+    let index = pair_index_of(src.iter().copied().zip(dst.iter().copied()));
+    let mut heads = fold_in.then(|| HeadSums::new(dst.iter().copied(), dim));
+    drop(ties);
+
+    let DirectionalityHead::Logistic(lr) = &meta.head;
+    let (w_emb, w_ctx) = lr.w.split_at(dim.min(lr.w.len()));
+    // Each row's logit, built as `score_row` builds it: the embedding
+    // half's dot, then `+=` the context half's.
+    let mut z = vec![0.0f64; rows];
+    let chunk_rows = if dim == 0 { 0 } else { (CHUNK_BYTES / (dim * 4)).max(1).min(rows) };
+    let mut chunk = AlignedBuf::zeroed(chunk_rows * dim * 4);
+    stream_block(r, &layout.emb, dim, &mut chunk, &mut fingerprint, |first, floats| {
+        for (zi, row) in z[first..].iter_mut().zip(floats.chunks_exact(dim)) {
+            *zi = dot8_f64(w_emb, row);
+        }
+        if let Some(heads) = &mut heads {
+            heads.add(first, floats);
+        }
+    })?;
+    if let Some(ctx) = &layout.ctx {
+        stream_block(r, ctx, dim, &mut chunk, &mut fingerprint, |first, floats| {
+            for (zi, row) in z[first..].iter_mut().zip(floats.chunks_exact(dim)) {
+                *zi += dot8_f64(w_ctx, row);
+            }
+        })?;
+    }
+    let b = f64::from(lr.b);
+    for zi in &mut z {
+        *zi = sigmoid64(*zi + b);
+    }
+    let head_score = heads.map(|h| h.finish(&meta.head, &meta.cfg));
+    Ok(ScoreTable::from_parts(index, z, head_score, fingerprint.finish(&meta.head)))
 }
 
 /// Zero bytes the encoder pads with: enough for any gap before a

@@ -97,6 +97,19 @@ pub fn train(
     estep: &EStepParams,
     cfg: &DeepDirectConfig,
 ) -> DirectionalityHead {
+    train_traced(universe, estep, cfg, None)
+}
+
+/// [`train`], reporting the solver pool's call and chunk spans as children
+/// of `stage` when given, so a trace shows each Newton pass. Tracing is
+/// observational only: the head is bit-identical with or without a stage
+/// span (DESIGN.md §7.12).
+pub fn train_traced(
+    universe: &TieUniverse,
+    estep: &EStepParams,
+    cfg: &DeepDirectConfig,
+    stage: Option<&dd_telemetry::Span>,
+) -> DirectionalityHead {
     let rows = LabeledRows::new(universe, estep, cfg);
     // Warm start from (w', b') per Algorithm 1 line 20; the context half
     // (extension) starts at zero.
@@ -111,6 +124,9 @@ pub fn train(
     let threads =
         Threads::new(cfg.threads).expect("DeepDirectConfig.threads is zero; call validate() first");
     let pool = Pool::new("dstep", threads);
+    if let Some(span) = stage {
+        pool.set_trace(span.observer(), span.context());
+    }
     let l2 = f64::from(cfg.dstep_l2);
     let evaluate =
         |head: &LogisticRegression, hessian: bool| rows.point(&pool, head, &anchor, l2, hessian);

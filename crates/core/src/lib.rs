@@ -35,6 +35,8 @@
 //!   (directionality adjacency matrix), bidirectionality scoring.
 //! * [`foldin`] — extension: scoring ordered pairs unseen at training time
 //!   via head-cluster fold-in.
+//! * [`scores`] — the per-row and per-head score table a serving shard
+//!   holds in place of the embeddings, computed while a `.ddm` streams in.
 //!
 //! ## Quickstart
 //!
@@ -74,6 +76,7 @@ pub mod dstep;
 pub mod estep;
 pub mod foldin;
 pub mod model;
+pub mod scores;
 pub mod store;
 pub mod universe;
 
@@ -86,4 +89,5 @@ pub use dd_telemetry as telemetry;
 pub use dstep::DirectionalityHead;
 pub use foldin::{FoldInIndex, FoldInScorer};
 pub use model::{DeepDirect, DirectionalityModel, MODEL_SCHEMA_VERSION};
+pub use scores::ScoreTable;
 pub use universe::{TieUniverse, UniverseKind, UniverseTie};

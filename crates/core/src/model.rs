@@ -67,12 +67,12 @@ impl DeepDirect {
     /// The whole fit runs under a `model.fit` root span whose trace ID is
     /// derived from [`DeepDirectConfig::seed`], with each phase
     /// (`universe.build`, `estep.train`, `dstep.train`) a child span and the
-    /// universe build's pool chunks grandchildren — so a re-run of the same
-    /// config reproduces the same trace tree. All reporting goes through
-    /// [`DeepDirectConfig::observer`]; the E-Step additionally reports
-    /// periodic progress samples and the D-Step its epoch losses. Tracing is
-    /// observational only: results are bit-identical with the observer on or
-    /// off (DESIGN.md §7.12).
+    /// universe build's and the D-Step's pool calls and chunks grandchildren
+    /// — so a re-run of the same config reproduces the same trace tree. All
+    /// reporting goes through [`DeepDirectConfig::observer`]; the E-Step
+    /// additionally reports periodic progress samples and the D-Step its
+    /// epoch losses. Tracing is observational only: results are
+    /// bit-identical with the observer on or off (DESIGN.md §7.12).
     pub fn fit(&self, g: &MixedSocialNetwork) -> DirectionalityModel {
         let obs = &self.cfg.observer;
         let mut rng = Pcg32::seed_from_u64(self.cfg.seed ^ 0x9e37);
@@ -97,8 +97,10 @@ impl DeepDirect {
             params.n = DenseMatrix::zeros(0, 0);
         }
         let head = {
-            let _span = root.child_named("dstep.train");
-            dstep::train(&universe, &params, &self.cfg)
+            let span = root.child_named("dstep.train");
+            let head = dstep::train_traced(&universe, &params, &self.cfg, Some(&span));
+            span.finish();
+            head
         };
         root.finish();
         obs.flush();
@@ -114,7 +116,7 @@ impl DeepDirect {
         )
         .expect("fit produced consistent embedding shapes");
         drop((m, contexts));
-        let pair_index = pair_index_of(&ties);
+        let pair_index = pair_index_of(ties.iter().copied());
         let fingerprint = fingerprint_of(&store, &ties, &head);
         DirectionalityModel {
             cfg: self.cfg.clone(),
@@ -149,11 +151,11 @@ pub struct DirectionalityModel {
     cfg: DeepDirectConfig,
     /// Ordered universe ties as raw id pairs, row-aligned with the store.
     ties: Vec<(u32, u32)>,
-    pair_index: FxHashMap<(u32, u32), u32>,
+    pub(crate) pair_index: FxHashMap<(u32, u32), u32>,
     /// Structure-of-arrays embedding storage: the embedding block (and the
     /// optional connection block under the `context_features` extension) as
     /// contiguous cache-aligned rows the scoring kernels stream directly.
-    store: TieStore,
+    pub(crate) store: TieStore,
     /// Content fingerprint over shapes, ties, blocks and head parameters —
     /// stable across `.ddm` save/load round-trips within one
     /// build/architecture. Namespaces the serve-side score cache.
@@ -166,10 +168,12 @@ pub struct DirectionalityModel {
 
 /// Row of each ordered tie, sized for all of them up front so the map never
 /// rehashes as it fills. A repeated pair keeps its last row.
-fn pair_index_of(ties: &[(u32, u32)]) -> FxHashMap<(u32, u32), u32> {
+pub(crate) fn pair_index_of(
+    ties: impl ExactSizeIterator<Item = (u32, u32)>,
+) -> FxHashMap<(u32, u32), u32> {
     let mut index = FxHashMap::default();
     index.reserve(ties.len());
-    for (i, &pair) in ties.iter().enumerate() {
+    for (i, pair) in ties.enumerate() {
         index.insert(pair, i as u32);
     }
     index
@@ -181,28 +185,61 @@ fn pair_index_of(ties: &[(u32, u32)]) -> FxHashMap<(u32, u32), u32> {
 /// on every fit and every load, never read from a file. Per-process
 /// identity (native-endian block bytes), not a portable digest — the binary
 /// format's CRC-32 sections cover on-disk integrity.
-fn fingerprint_of(store: &TieStore, ties: &[(u32, u32)], head: &DirectionalityHead) -> u64 {
-    let mut h = Xxh64::new(0);
-    h.update(&(store.dim() as u64).to_le_bytes());
-    h.update(&(store.rows() as u64).to_le_bytes());
-    // The ties 4 KiB at a time: the bytes of one 8-byte update per tie
-    // (streamed XXH64 does not depend on how the input is split), without a
-    // call per tie.
-    let mut block = [0u8; 4096];
-    for chunk in ties.chunks(block.len() / 8) {
-        for (out, &(u, v)) in block.chunks_exact_mut(8).zip(chunk) {
-            out.copy_from_slice(&(u64::from(u) | u64::from(v) << 32).to_le_bytes());
+///
+/// Fed in pieces, in that order, so a loader can hash a block as it
+/// streams past: streamed XXH64 does not depend on how its input is split.
+pub(crate) struct Fingerprint(Xxh64);
+
+impl Fingerprint {
+    /// Starts a fingerprint with the shapes.
+    pub(crate) fn new(dim: usize, rows: usize) -> Self {
+        let mut h = Xxh64::new(0);
+        h.update(&(dim as u64).to_le_bytes());
+        h.update(&(rows as u64).to_le_bytes());
+        Fingerprint(h)
+    }
+
+    /// Feeds the ties in row order, 4 KiB at a time: the bytes of one
+    /// 8-byte update per tie, without a call per tie.
+    pub(crate) fn ties(&mut self, ties: impl Iterator<Item = (u32, u32)>) {
+        let mut block = [0u8; 4096];
+        let mut filled = 0;
+        for (u, v) in ties {
+            block[filled..filled + 8]
+                .copy_from_slice(&(u64::from(u) | u64::from(v) << 32).to_le_bytes());
+            filled += 8;
+            if filled == block.len() {
+                self.0.update(&block);
+                filled = 0;
+            }
         }
-        h.update(&block[..chunk.len() * 8]);
+        self.0.update(&block[..filled]);
     }
-    h.update(store.embedding_bytes());
+
+    /// Feeds native-endian block bytes: the embedding block, then the
+    /// context block, in any number of pieces.
+    pub(crate) fn update(&mut self, block: &[u8]) {
+        self.0.update(block);
+    }
+
+    /// Feeds the head's JSON and returns the digest.
+    pub(crate) fn finish(mut self, head: &DirectionalityHead) -> u64 {
+        if let Ok(js) = serde_json::to_string(head) {
+            self.0.update(js.as_bytes());
+        }
+        self.0.finish()
+    }
+}
+
+/// The [`Fingerprint`] of a whole model.
+fn fingerprint_of(store: &TieStore, ties: &[(u32, u32)], head: &DirectionalityHead) -> u64 {
+    let mut fp = Fingerprint::new(store.dim(), store.rows());
+    fp.ties(ties.iter().copied());
+    fp.update(store.embedding_bytes());
     if let Some(c) = store.context_bytes() {
-        h.update(c);
+        fp.update(c);
     }
-    if let Ok(js) = serde_json::to_string(head) {
-        h.update(js.as_bytes());
-    }
-    h.finish()
+    fp.finish(head)
 }
 
 impl DirectionalityModel {
@@ -331,7 +368,7 @@ impl DirectionalityModel {
     /// the embedding blocks).
     fn load_binary_buf(buf: AlignedBuf) -> Result<Self, String> {
         let decoded = binfmt::decode(buf).map_err(|e| format!("invalid binary model: {e}"))?;
-        let pair_index = pair_index_of(&decoded.ties);
+        let pair_index = pair_index_of(decoded.ties.iter().copied());
         let fingerprint = fingerprint_of(&decoded.store, &decoded.ties, &decoded.head);
         Ok(DirectionalityModel {
             cfg: decoded.cfg,
@@ -777,14 +814,19 @@ mod tests {
             assert_eq!(e.trace_id, root.trace_id, "{phase} shares the fit trace");
             assert_eq!(e.parent_span_id, root.span_id, "{phase} parents to model.fit");
         }
-        // The universe build's pool call appears as a grandchild.
-        let pool_call = events
-            .iter()
-            .find(|e| e.name.as_deref() == Some("pool.universe.build"))
-            .expect("universe pool call is traced");
-        let ub = events.iter().find(|e| e.name.as_deref() == Some("universe.build")).unwrap();
-        assert_eq!(pool_call.trace_id, root.trace_id);
-        assert_eq!(pool_call.parent_span_id, ub.span_id);
+        // The universe build's and the D-Step's pool calls appear as
+        // grandchildren, under their phases.
+        for (pool, phase) in
+            [("pool.universe.build", "universe.build"), ("pool.dstep", "dstep.train")]
+        {
+            let pool_call = events
+                .iter()
+                .find(|e| e.name.as_deref() == Some(pool))
+                .unwrap_or_else(|| panic!("{pool} is traced"));
+            let stage = events.iter().find(|e| e.name.as_deref() == Some(phase)).unwrap();
+            assert_eq!(pool_call.trace_id, root.trace_id, "{pool} shares the fit trace");
+            assert_eq!(pool_call.parent_span_id, stage.span_id, "{pool} parents to {phase}");
+        }
         let summary = model.fit_summary();
         assert!(summary.contains("estep 5000 iters"), "{summary}");
         assert!(model.estep_seconds() > 0.0);

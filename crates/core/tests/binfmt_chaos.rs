@@ -10,13 +10,21 @@
 //! JSON document the loader parses, and rebuilds a container whose
 //! checksums and offsets are all valid, so only the meta parse and the
 //! shape checks stand between the corruption and a loaded model.
+//!
+//! Every input also goes through the streaming loader a shard uses,
+//! `ScoreTable::load`. It must give the same verdict: the same error, or
+//! the same fingerprint with every row and head score bit-identical to the
+//! loaded model's.
+
+use std::io::Cursor;
 
 use dd_graph::generators::{social_network, SocialNetConfig};
+use dd_graph::NodeId;
 use dd_linalg::bytes::{crc32, BLOCK_ALIGN};
 use dd_linalg::Pcg32;
 use dd_testkit::gen::{corrupt_binary, corrupt_json};
 use deepdirect::binfmt::{section, ENTRY_LEN, HEADER_LEN};
-use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
+use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel, FoldInIndex, ScoreTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,6 +47,34 @@ const KNOWN_REGIONS: &[&str] = &[
     "reading model",
 ];
 
+/// Loads `bytes` both ways, as a whole model and as the score table a
+/// shard streams, and checks that the two loaders agree.
+fn load_both(bytes: &[u8], what: &str) -> Result<DirectionalityModel, String> {
+    let model = DirectionalityModel::load(bytes);
+    match (&model, ScoreTable::load(Cursor::new(bytes), true)) {
+        (Err(whole), Err(streamed)) => assert_eq!(whole, &streamed, "{what}: the errors differ"),
+        (Ok(model), Ok(table)) => {
+            assert_eq!(table.fingerprint(), model.fingerprint(), "{what}: fingerprint");
+            assert_eq!(table.n_ties(), model.n_ties(), "{what}: ties");
+            for row in 0..model.n_ties() {
+                let (got, want) = (table.row_score(row), model.score_row(row));
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: row {row}");
+            }
+            let index = FoldInIndex::build(model);
+            let mut scratch = Vec::new();
+            for &(_, v) in model.ties() {
+                let want =
+                    index.foldin_score_into(model, NodeId(u32::MAX), NodeId(v), &mut scratch);
+                let got = table.head_score(NodeId(v));
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{what}: head {v}");
+            }
+        }
+        (Ok(_), Err(e)) => panic!("{what}: the model loads, the table fails: {e}"),
+        (Err(e), Ok(_)) => panic!("{what}: the table loads, the model fails: {e}"),
+    }
+    model
+}
+
 fn valid_container() -> (DirectionalityModel, Vec<u8>) {
     let gen_cfg = SocialNetConfig { n_nodes: 70, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(501);
@@ -54,7 +90,7 @@ fn valid_container() -> (DirectionalityModel, Vec<u8>) {
 #[test]
 fn loader_survives_2000_corrupt_binaries_with_typed_errors() {
     let (model, valid) = valid_container();
-    assert!(DirectionalityModel::load(valid.as_slice()).is_ok(), "pristine file must load");
+    assert!(load_both(&valid, "pristine").is_ok(), "pristine file must load");
 
     let mut n_err = 0usize;
     let mut n_noop = 0usize;
@@ -65,7 +101,7 @@ fn loader_survives_2000_corrupt_binaries_with_typed_errors() {
             n_noop += 1;
             continue;
         }
-        match DirectionalityModel::load(mangled.as_slice()) {
+        match load_both(&mangled, &format!("seed {seed}")) {
             Err(e) => {
                 n_err += 1;
                 assert!(
@@ -96,7 +132,7 @@ fn loader_survives_2000_corrupt_binaries_with_typed_errors() {
 #[test]
 fn loader_rejects_short_and_empty_buffers() {
     for bytes in [&b""[..], &b"\x89"[..], &b"\x89DDMDL\r\n"[..]] {
-        let err = DirectionalityModel::load(bytes).unwrap_err();
+        let err = load_both(bytes, "short buffer").unwrap_err();
         assert!(
             KNOWN_REGIONS.iter().any(|r| err.contains(r)),
             "short buffer error is vague: {err}"
@@ -169,7 +205,7 @@ fn loader_survives_2000_corrupt_meta_sections_with_typed_errors() {
         let mut rng = Pcg32::seed_from_u64(seed);
         let mut mangled = parts.clone();
         mangled[meta_at].1 = corrupt_json(&mut rng, &meta);
-        match DirectionalityModel::load(assemble(&valid, &mangled).as_slice()) {
+        match load_both(&assemble(&valid, &mangled), &format!("meta seed {seed}")) {
             Err(e) => {
                 n_err += 1;
                 assert!(
@@ -229,7 +265,7 @@ fn loader_rejects_meta_that_disagrees_with_the_blocks() {
         assert_ne!(edited, meta, "{what}: the edit must change the meta");
         let mut mangled = parts.clone();
         mangled[meta_at].1 = edited.into_bytes();
-        let err = DirectionalityModel::load(assemble(&valid, &mangled).as_slice())
+        let err = load_both(&assemble(&valid, &mangled), what)
             .err()
             .unwrap_or_else(|| panic!("{what}: a mismatched meta loaded"));
         assert!(err.contains("'meta'") && err.contains(names), "{what}: {err}");
@@ -250,7 +286,7 @@ fn loader_names_an_unknown_head_tag_without_its_weights() {
     let weights: Vec<&str> = meta[weights_at..weights_end].split(',').collect();
     assert_eq!(weights.len(), 12, "the head's weights: {weights:?}");
     parts[meta_at].1 = meta.replacen("{\"Logistic\":", "{\"Logistix\":", 1).into_bytes();
-    let err = DirectionalityModel::load(assemble(&valid, &parts).as_slice())
+    let err = load_both(&assemble(&valid, &parts), "unknown head tag")
         .err()
         .unwrap_or_else(|| panic!("an unknown head tag loaded"));
     assert!(err.contains("'meta'") && err.contains("Logistix"), "{err}");
@@ -270,11 +306,36 @@ fn loader_reads_meta_written_before_the_single_head() {
     let at = meta.find("\"dstep_epochs\"").expect("a config dstep_epochs");
     let old = format!("{}\"head\":\"Logistic\",\"mlp_hidden\":32,{}", &meta[..at], &meta[at..]);
     parts[meta_at].1 = old.into_bytes();
-    let loaded = DirectionalityModel::load(assemble(&valid, &parts).as_slice())
+    let loaded = load_both(&assemble(&valid, &parts), "earlier meta")
         .expect("an earlier build's meta loads");
     assert_eq!(loaded.fingerprint(), model.fingerprint());
     assert_eq!(loaded.n_ties(), model.n_ties());
     for row in 0..model.n_ties() {
         assert_eq!(loaded.score_row(row).to_bits(), model.score_row(row).to_bits(), "row {row}");
     }
+}
+
+/// A non-finite value is reported only once its block's checksum has
+/// matched, by both loaders: a NaN written over a block whose CRC still
+/// describes the old bytes is a checksum failure, and the same NaN under a
+/// fixed-up CRC is a non-finite failure naming the element.
+#[test]
+fn a_non_finite_value_in_a_corrupt_block_fails_on_the_checksum() {
+    let (_, valid) = valid_container();
+    let mut parts = sections(&valid);
+    let emb_at = parts.iter().position(|(k, _)| *k == section::EMB).unwrap();
+    let emb_offset = (0..parts.len())
+        .map(|i| HEADER_LEN + i * ENTRY_LEN)
+        .find(|&e| read_u32(&valid, e) == section::EMB)
+        .map(|e| read_u64(&valid, e + 8) as usize)
+        .unwrap();
+    let at = 4 * 70;
+    let mut stale_crc = valid.clone();
+    stale_crc[emb_offset + at..emb_offset + at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+    let err = load_both(&stale_crc, "stale CRC").expect_err("a NaN under a stale CRC loads");
+    assert!(err.contains("'embeddings' checksum mismatch"), "{err}");
+
+    parts[emb_at].1[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+    let err = load_both(&assemble(&valid, &parts), "fixed CRC").expect_err("a NaN loads");
+    assert!(err.contains("'embeddings' contains a non-finite value at element 70"), "{err}");
 }

@@ -1,7 +1,9 @@
 //! `dd-serve` — a concurrent directionality query fleet.
 //!
-//! Serves tie-direction scores from a trained
-//! [`DirectionalityModel`](deepdirect::DirectionalityModel) over HTTP/1.1,
+//! Serves tie-direction scores of a trained model over HTTP/1.1 from a
+//! [`ScoreTable`](deepdirect::ScoreTable) — one score per trained tie and,
+//! with `--stream`, one fold-in score per head, computed while the `.ddm`
+//! streams in, so a shard never holds the embedding block —
 //! built entirely on `std` networking (the build is offline/vendored — no
 //! tokio, no hyper). The design is deliberately production-shaped:
 //!
@@ -13,11 +15,12 @@
 //!   request log — and shutdown drains the queue before joining the pool.
 //!   A shard and the router differ only in their routes.
 //! - **Hot model reload** ([`server`]): a shard keeps what it serves — the
-//!   model, its reload generation and, with `--stream`, the stream engine —
-//!   behind one `RwLock`. A request reads all three under one read guard;
-//!   `POST /admin/reload` loads the new artifact with no lock held and swaps
-//!   it in under the write guard, so no request mixes two generations and
-//!   the retired model is freed as soon as the swap is done. The
+//!   score table, its reload generation and, with `--stream`, the stream
+//!   engine — behind one `RwLock`. A request reads all three under one read
+//!   guard; `POST /admin/reload` streams the new artifact into a new table
+//!   with no lock held and swaps it in under the write guard, so no request
+//!   mixes two generations and the retired table is freed as soon as the
+//!   swap is done. The
 //!   fingerprint-keyed cache makes stale entries structurally impossible.
 //! - **Sharded fleet** ([`router`]): the router places each tie on one of
 //!   N full-replica shard processes by rendezvous hashing, so one shard's

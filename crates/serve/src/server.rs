@@ -1,11 +1,13 @@
 //! The query server: a shard answering scores out of a hot-swappable
-//! [`DirectionalityModel`].
+//! [`ScoreTable`] — each trained row's score and, with `--stream`, each
+//! head's fold-in score, computed while the `.ddm` streams in. A shard never
+//! holds a model's embedding block.
 //!
 //! The HTTP front end — bounded accept queue, worker pool, per-request
 //! timeouts, traces, graceful shutdown — is the one the router uses too
 //! (`front.rs`); this module supplies the routes. Each worker scores
 //! through the sharded LRU cache and records into a [`Registry`] that
-//! `/metrics` exports. What the shard serves — the model, its reload
+//! `/metrics` exports. What the shard serves — the score table, its reload
 //! generation and the optional stream engine — sits behind one `RwLock`:
 //! reads hold the read guard for the whole request, and `POST
 //! /admin/reload` swaps a new artifact in under the write guard after
@@ -26,7 +28,7 @@ use dd_stream::{parse_events, StreamEngine};
 use dd_telemetry::export::{prometheus_text, PromFamily};
 use dd_telemetry::trace::derive_span_id;
 use dd_telemetry::{Counter, Event, Gauge, MetricSnapshot, ObserverHandle, Registry};
-use deepdirect::{DirectionalityModel, MODEL_SCHEMA_VERSION};
+use deepdirect::{ScoreTable, MODEL_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 
 use crate::front::{
@@ -93,12 +95,12 @@ impl ServeConfig {
     }
 }
 
-/// What a shard serves: the model, its reload generation and, with
-/// [`ServeConfig::stream`] on, the engine bound to that model. One lock
-/// guards all three, so a request reads the model, the overlay and the
+/// What a shard serves: the score table, its reload generation and, with
+/// [`ServeConfig::stream`] on, the engine bound to that table. One lock
+/// guards all three, so a request reads the scores, the overlay and the
 /// generation of one and the same reload.
 struct Served {
-    model: Arc<DirectionalityModel>,
+    table: Arc<ScoreTable>,
     /// 1 for the model the process started with, +1 per successful reload.
     generation: u64,
     engine: Option<StreamEngine>,
@@ -107,12 +109,13 @@ struct Served {
 impl Served {
     /// One uncached score: the engine answers when streaming (exact trained
     /// scores for untouched pairs, fold-in for dynamic ones, `None` for
-    /// tombstones), the model otherwise. `scratch` is the worker-owned
-    /// fold-in buffer, so the streaming path never allocates per request.
-    fn score(&self, src: u32, dst: u32, scratch: &mut Vec<f32>) -> Option<f64> {
+    /// tombstones), the table otherwise.
+    fn score(&self, src: u32, dst: u32) -> Option<f64> {
         match &self.engine {
-            Some(engine) => engine.score(NodeId(src), NodeId(dst), scratch),
-            None => self.model.score(NodeId(src), NodeId(dst)),
+            // The engine reads a head score; its scratch argument stays
+            // unused, and an empty `Vec` does not allocate.
+            Some(engine) => engine.score(NodeId(src), NodeId(dst), &mut Vec::new()),
+            None => self.table.score(NodeId(src), NodeId(dst)),
         }
     }
 }
@@ -168,7 +171,7 @@ struct RouteStats {
 }
 
 impl AppState {
-    fn new(model: Arc<DirectionalityModel>, cfg: &ServeConfig) -> Self {
+    fn new(table: Arc<ScoreTable>, cfg: &ServeConfig) -> Self {
         let registry = Arc::new(Registry::new());
         registry.gauge("serve.pool.workers").set(cfg.workers as f64);
         let model_generation = registry.gauge("serve.model.generation");
@@ -179,9 +182,9 @@ impl AppState {
             invalidations: registry.counter("serve.ingest.invalidations"),
             live: registry.gauge("serve.stream.live"),
         });
-        let engine = cfg.stream.then(|| StreamEngine::new(Arc::clone(&model)));
+        let engine = cfg.stream.then(|| StreamEngine::over(Arc::clone(&table)));
         AppState {
-            served: RwLock::new(Served { model, generation: 1, engine }),
+            served: RwLock::new(Served { table, generation: 1, engine }),
             cache: ScoreCache::new(cfg.cache_size),
             stream,
             cache_hits: registry.counter("serve.cache.hits"),
@@ -253,19 +256,18 @@ impl AppState {
         served: &Served,
         src: u32,
         dst: u32,
-        scratch: &mut Vec<f32>,
         stats: &mut RouteStats,
     ) -> Option<f64> {
         let Some(cache) = &self.cache else {
-            return served.score(src, dst, scratch);
+            return served.score(src, dst);
         };
-        let key = (served.model.fingerprint(), src, dst);
+        let key = (served.table.fingerprint(), src, dst);
         if let Some(v) = cache.get(key) {
             self.cache_hits.incr();
             stats.cache_hits += 1;
             return Some(v);
         }
-        let v = served.score(src, dst, scratch)?;
+        let v = served.score(src, dst)?;
         self.cache_misses.incr();
         stats.cache_misses += 1;
         if cache.insert(key, v) {
@@ -380,10 +382,10 @@ fn route(state: &AppState, w: &mut ShardWorker, req: &http::Request) -> Routed {
             panic!("injected handler panic via /__panic")
         }
         _ => {
-            // One read guard per request: the model, the overlay and the
+            // One read guard per request: the scores, the overlay and the
             // response fingerprint all come from one generation.
             let served = state.read_served();
-            w.answered = Some((served.model.fingerprint(), served.generation));
+            w.answered = Some((served.table.fingerprint(), served.generation));
             // dd-lint: order(served < shard) — §7.15: a cache miss inserts
             // while the request's read guard is live; ingest's removals and
             // reload's purge run with no guard held
@@ -405,9 +407,9 @@ fn read_route(
         ("GET", "/healthz") => {
             let body = HealthResponse {
                 status: "ok".to_string(),
-                ties: served.model.n_ties(),
+                ties: served.table.n_ties(),
                 model_schema: MODEL_SCHEMA_VERSION,
-                model_fingerprint: format!("{:016x}", served.model.fingerprint()),
+                model_fingerprint: format!("{:016x}", served.table.fingerprint()),
                 generation: Some(served.generation),
                 live_dynamic: served.engine.as_ref().map(|e| e.live_dynamic() as u64),
             };
@@ -430,7 +432,7 @@ fn read_route(
                     "# HELP dd_serve_model_info Identity of the currently served model.\n\
                      # TYPE dd_serve_model_info gauge\n\
                      dd_serve_model_info{{fingerprint=\"{:016x}\"}} {}\n",
-                    served.model.fingerprint(),
+                    served.table.fingerprint(),
                     served.generation,
                 )
                 .as_bytes(),
@@ -451,8 +453,8 @@ fn score_endpoint(
         Ok(pair) => pair,
         Err(routed) => return routed,
     };
-    let fingerprint = Some(format!("{:016x}", served.model.fingerprint()));
-    match state.score_cached(served, src, dst, &mut w.scratch, &mut w.stats) {
+    let fingerprint = Some(format!("{:016x}", served.table.fingerprint()));
+    match state.score_cached(served, src, dst, &mut w.stats) {
         Some(score) => {
             let body = ScoreResponse { src, dst, score: Some(score), error: None, fingerprint };
             ("score", 200, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
@@ -480,26 +482,25 @@ fn batch_endpoint(
         Ok(pairs) => pairs,
         Err(routed) => return routed,
     };
-    let fingerprint = format!("{:016x}", served.model.fingerprint());
+    let fingerprint = format!("{:016x}", served.table.fingerprint());
     let mut out = String::new();
     for pair in pairs {
-        let resp =
-            match state.score_cached(served, pair.src, pair.dst, &mut w.scratch, &mut w.stats) {
-                Some(score) => ScoreResponse {
-                    src: pair.src,
-                    dst: pair.dst,
-                    score: Some(score),
-                    error: None,
-                    fingerprint: Some(fingerprint.clone()),
-                },
-                None => ScoreResponse {
-                    src: pair.src,
-                    dst: pair.dst,
-                    score: None,
-                    error: Some("unknown tie".to_string()),
-                    fingerprint: Some(fingerprint.clone()),
-                },
-            };
+        let resp = match state.score_cached(served, pair.src, pair.dst, &mut w.stats) {
+            Some(score) => ScoreResponse {
+                src: pair.src,
+                dst: pair.dst,
+                score: Some(score),
+                error: None,
+                fingerprint: Some(fingerprint.clone()),
+            },
+            None => ScoreResponse {
+                src: pair.src,
+                dst: pair.dst,
+                score: None,
+                error: Some("unknown tie".to_string()),
+                fingerprint: Some(fingerprint.clone()),
+            },
+        };
         out.push_str(&serde_json::to_string(&resp).unwrap_or_default());
         out.push('\n');
     }
@@ -574,12 +575,12 @@ fn ingest_endpoint(state: &AppState, w: &mut ShardWorker, req: &http::Request) -
     ("ingest", 200, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
 }
 
-/// `POST /admin/reload`: loads and validates the artifact named in the body
-/// with no lock held — other workers keep serving throughout — then, under
-/// the write guard, rebinds the streaming engine and swaps the model and
-/// generation together. No request can pair one generation's model with
-/// another's overlay. The retired model is dropped and dead-generation
-/// cache entries purged after the guard is released.
+/// `POST /admin/reload`: streams the artifact named in the body into a new
+/// score table with no lock held — other workers keep serving throughout —
+/// then, under the write guard, rebinds the streaming engine and swaps the
+/// table and generation together. No request can pair one generation's
+/// scores with another's overlay. The retired table is dropped and
+/// dead-generation cache entries purged after the guard is released.
 fn reload_endpoint(state: &AppState, w: &mut ShardWorker, req: &http::Request) -> Routed {
     let parsed: Result<ReloadRequest, _> = match std::str::from_utf8(&req.body) {
         Ok(text) => serde_json::from_str(text),
@@ -591,8 +592,8 @@ fn reload_endpoint(state: &AppState, w: &mut ShardWorker, req: &http::Request) -
             return ("admin", 400, JSON, error_body(&format!("expected {{\"path\":\"…\"}}: {e}")))
         }
     };
-    let new = match DirectionalityModel::load_from_path(&reload.path) {
-        Ok(m) => m,
+    let new = match ScoreTable::load_from_path(&reload.path, state.stream.is_some()) {
+        Ok(t) => t,
         Err(e) => return ("admin", 400, JSON, error_body(&format!("reload failed: {e}"))),
     };
     if new.n_ties() == 0 {
@@ -606,15 +607,15 @@ fn reload_endpoint(state: &AppState, w: &mut ShardWorker, req: &http::Request) -
         // The retained event log, not the old overlay, re-normalizes against
         // the new model's trained tie set, as if replayed from scratch.
         let live = served.engine.as_mut().map(|engine| {
-            engine.rebind(Arc::clone(&new));
+            engine.rebind_table(Arc::clone(&new));
             engine.live_dynamic()
         });
         served.generation += 1;
-        (std::mem::replace(&mut served.model, new), served.generation, live)
+        (std::mem::replace(&mut served.table, new), served.generation, live)
     };
     let old_fingerprint = old.fingerprint();
-    // Readers only borrow the model under the read guard, so this was the
-    // last reference: the retired model is freed here, outside the lock.
+    // Readers only borrow the table under the read guard, so this was the
+    // last reference: the retired table is freed here, outside the lock.
     drop(old);
     w.answered = Some((new_fingerprint, generation));
     if let (Some(stream), Some(live)) = (&state.stream, live) {
@@ -668,11 +669,9 @@ fn render_metrics(registry: &Registry) -> Vec<u8> {
 }
 
 /// A shard worker's own state, reused across its requests. It holds no
-/// model: a request borrows the served one under the read guard, so an idle
+/// table: a request borrows the served one under the read guard, so an idle
 /// worker keeps nothing alive across a reload.
 struct ShardWorker {
-    /// Reusable fold-in buffer — the streaming score path never allocates.
-    scratch: Vec<f32>,
     /// `(fingerprint, generation)` of the model that answered this request,
     /// for the trace root; `None` when no model was consulted.
     answered: Option<(u64, u64)>,
@@ -683,7 +682,7 @@ impl Service for AppState {
     type Worker = ShardWorker;
 
     fn worker(&self) -> ShardWorker {
-        ShardWorker { scratch: Vec::new(), answered: None, stats: RouteStats::default() }
+        ShardWorker { answered: None, stats: RouteStats::default() }
     }
 
     fn begin(&self, w: &mut ShardWorker) {
@@ -726,14 +725,18 @@ pub struct Server;
 
 impl Server {
     /// Binds `cfg.addr`, spawns the acceptor and worker pool, and returns a
-    /// handle. The model is shared read-only across workers; scores are
-    /// bit-identical to calling [`DirectionalityModel::score`] directly.
-    pub fn start(
-        model: Arc<DirectionalityModel>,
-        cfg: ServeConfig,
-    ) -> Result<ServerHandle, String> {
+    /// handle. The table is shared read-only across workers; scores are
+    /// bit-identical to calling
+    /// [`DirectionalityModel::score`](deepdirect::DirectionalityModel::score)
+    /// on the model it was loaded from. With [`ServeConfig::stream`] on, the
+    /// table must hold head scores ([`ScoreTable::load`] with `fold_in`, or
+    /// [`ScoreTable::of`]).
+    pub fn start(table: Arc<ScoreTable>, cfg: ServeConfig) -> Result<ServerHandle, String> {
         cfg.validate()?;
-        let state = Arc::new(AppState::new(model, &cfg));
+        if cfg.stream && !table.has_head_scores() {
+            return Err("serve: --stream needs a score table loaded with head scores".into());
+        }
+        let state = Arc::new(AppState::new(table, &cfg));
         let front_cfg = FrontConfig {
             prefix: "serve",
             log_prefix: "",

@@ -17,7 +17,7 @@ use dd_graph::sampling::hide_directions;
 use dd_graph::NodeId;
 use dd_serve::client;
 use dd_serve::{HealthResponse, ReloadResponse, ScoreResponse, ServeConfig, Server};
-use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
+use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel, ScoreTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,7 +62,7 @@ fn concurrent_load_across_three_reloads_never_fails_and_stays_bit_exact() {
     let first = Arc::new(models[0].clone());
     let ties: Vec<(u32, u32)> = first.ties().to_vec();
     let handle = Server::start(
-        Arc::clone(&first),
+        Arc::new(ScoreTable::of(&first)),
         ServeConfig { addr: "127.0.0.1:0".to_string(), workers: 4, ..ServeConfig::default() },
     )
     .expect("server starts");
@@ -152,7 +152,7 @@ fn reload_error_paths_reject_without_disturbing_the_served_model() {
     let models = fit_family(1);
     let model = Arc::new(models.into_iter().next().unwrap());
     let handle = Server::start(
-        Arc::clone(&model),
+        Arc::new(ScoreTable::of(&model)),
         ServeConfig { addr: "127.0.0.1:0".to_string(), ..ServeConfig::default() },
     )
     .unwrap();
@@ -228,8 +228,8 @@ fn idle_workers_do_not_keep_retired_models_alive() {
     let body =
         format!("{{\"path\":{}}}", serde_json::to_string(&artifact.display().to_string()).unwrap());
 
-    let first = Arc::new(models[0].clone());
-    let retired: Weak<DirectionalityModel> = Arc::downgrade(&first);
+    let first = Arc::new(ScoreTable::of(&models[0]));
+    let retired: Weak<ScoreTable> = Arc::downgrade(&first);
     let handle = Server::start(
         first,
         ServeConfig { addr: "127.0.0.1:0".to_string(), workers: WORKERS, ..ServeConfig::default() },

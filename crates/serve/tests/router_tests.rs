@@ -20,7 +20,7 @@ use dd_serve::{
 };
 use dd_telemetry::ObserverHandle;
 use dd_testkit::KillSchedule;
-use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
+use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel, ScoreTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,7 +36,7 @@ fn fit_model() -> DirectionalityModel {
 
 fn start_shard(model: &Arc<DirectionalityModel>, addr: &str) -> ServerHandle {
     Server::start(
-        Arc::clone(model),
+        Arc::new(ScoreTable::of(model)),
         ServeConfig { addr: addr.to_string(), workers: 2, ..ServeConfig::default() },
     )
     .expect("shard starts")
@@ -346,7 +346,7 @@ fn partial_fan_out_is_a_502_listed_in_shard_order() {
                     stream: true,
                     ..ServeConfig::default()
                 };
-                Server::start(Arc::clone(&model), cfg).expect("shard starts")
+                Server::start(Arc::new(ScoreTable::of(&model)), cfg).expect("shard starts")
             })
             .collect();
         let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
@@ -398,7 +398,7 @@ fn routed_request_is_one_trace_from_client_to_shard() {
     let (shard_log, shard_observer) = log("shard");
     let (router_log, router_observer) = log("router");
     let shard = Server::start(
-        Arc::clone(&model),
+        Arc::new(ScoreTable::of(&model)),
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             observer: shard_observer,

@@ -21,7 +21,7 @@ use dd_serve::client;
 use dd_serve::{ScoreResponse, ServeConfig, Server, ServerHandle};
 use dd_telemetry::{Event, MetricSnapshot, ObserverHandle, TrainObserver};
 use dd_testkit::gen::http_request_bytes;
-use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
+use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel, ScoreTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,7 +39,7 @@ fn start(cfg_mutator: impl FnOnce(&mut ServeConfig)) -> (Arc<DirectionalityModel
     let model = Arc::new(fit_model());
     let mut cfg = ServeConfig { addr: "127.0.0.1:0".to_string(), ..ServeConfig::default() };
     cfg_mutator(&mut cfg);
-    let handle = Server::start(Arc::clone(&model), cfg).expect("server starts");
+    let handle = Server::start(Arc::new(ScoreTable::of(&model)), cfg).expect("server starts");
     (model, handle)
 }
 

@@ -16,7 +16,7 @@ use dd_serve::{
     Router, RouterConfig, RouterHandle, ScoreResponse, ServeConfig, Server, ServerHandle,
 };
 use dd_telemetry::{MetricSnapshot, ObserverHandle, Registry};
-use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
+use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel, ScoreTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,7 +34,7 @@ fn start(cfg_mutator: impl FnOnce(&mut ServeConfig)) -> (Arc<DirectionalityModel
     let model = Arc::new(fit_model());
     let mut cfg = ServeConfig { addr: "127.0.0.1:0".to_string(), ..ServeConfig::default() };
     cfg_mutator(&mut cfg);
-    let handle = Server::start(Arc::clone(&model), cfg).expect("server starts");
+    let handle = Server::start(Arc::new(ScoreTable::of(&model)), cfg).expect("server starts");
     (model, handle)
 }
 
@@ -477,5 +477,18 @@ fn dropping_the_handle_shuts_down_cleanly() {
 fn rejects_zero_worker_config() {
     let model = Arc::new(fit_model());
     let cfg = ServeConfig { addr: "127.0.0.1:0".to_string(), workers: 0, ..ServeConfig::default() };
-    assert!(Server::start(model, cfg).is_err());
+    assert!(Server::start(Arc::new(ScoreTable::of(&model)), cfg).is_err());
+}
+
+/// A streaming shard scores followed untrained pairs from the table's head
+/// scores, so it refuses a table loaded without them.
+#[test]
+fn streaming_needs_a_table_with_head_scores() {
+    let mut ddm = Vec::new();
+    fit_model().save_binary(&mut ddm).unwrap();
+    let rows_only = ScoreTable::load(std::io::Cursor::new(&ddm), false).unwrap();
+    let cfg =
+        ServeConfig { addr: "127.0.0.1:0".to_string(), stream: true, ..ServeConfig::default() };
+    let err = Server::start(Arc::new(rows_only), cfg).err().expect("a rows-only table is refused");
+    assert!(err.contains("head scores"), "{err}");
 }

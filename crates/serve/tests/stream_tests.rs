@@ -20,7 +20,7 @@ use dd_graph::NodeId;
 use dd_serve::client;
 use dd_serve::{HealthResponse, IngestResponse, ReloadResponse, ServeConfig, Server, ServerHandle};
 use dd_stream::{to_jsonl, EventOp, StreamEngine, TieEvent};
-use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel, FoldInScorer};
+use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel, FoldInScorer, ScoreTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,7 +51,7 @@ fn start_streaming(
     let mut cfg =
         ServeConfig { addr: "127.0.0.1:0".to_string(), stream: true, ..ServeConfig::default() };
     mutate(&mut cfg);
-    Server::start(Arc::clone(model), cfg).expect("server starts")
+    Server::start(Arc::new(ScoreTable::of(model)), cfg).expect("server starts")
 }
 
 /// An ordered pair absent from the trained universe in both orders, whose
@@ -405,7 +405,7 @@ fn ingest_is_atomic_and_rejects_malformed_batches_whole() {
 fn ingest_is_disabled_without_the_stream_flag() {
     let model = Arc::new(fit_model(27));
     let handle = Server::start(
-        Arc::clone(&model),
+        Arc::new(ScoreTable::of(&model)),
         ServeConfig { addr: "127.0.0.1:0".to_string(), ..ServeConfig::default() },
     )
     .expect("server starts");

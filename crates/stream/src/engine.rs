@@ -1,10 +1,13 @@
 //! The streaming engine: an overlay of live tie deltas over a frozen model.
 //!
-//! [`StreamEngine`] owns an `Arc`'d [`DirectionalityModel`] plus a
-//! [`FoldInIndex`] and folds follow/unfollow/reciprocation events into the
-//! frozen embedding space without retraining: a dynamic tie's score is the
-//! head-cluster fold-in mean (DESIGN.md §6), an unfollowed trained tie stops
-//! scoring, and everything untouched keeps its exact trained score.
+//! [`StreamEngine`] owns an `Arc`'d [`ScoreTable`] and folds
+//! follow/unfollow/reciprocation events into the frozen embedding space
+//! without retraining: a dynamic tie's score is its head's fold-in score
+//! (DESIGN.md §6), an unfollowed trained tie stops scoring, and everything
+//! untouched keeps its exact trained score. A dynamic tie is untrained, so
+//! its fold-in mean excludes no row and depends on the head alone: the
+//! table's precomputed [`ScoreTable::head_score`], bit-identical to
+//! [`FoldInIndex`](deepdirect::FoldInIndex) on the same pair.
 //!
 //! # Determinism and replay (DESIGN.md §7.15)
 //!
@@ -22,7 +25,7 @@ use std::sync::Arc;
 
 use dd_graph::NodeId;
 use dd_linalg::bytes::{fnv1a64, FNV64_SEED};
-use deepdirect::{DirectionalityModel, FoldInIndex};
+use deepdirect::{DirectionalityModel, ScoreTable};
 
 use crate::event::{EventOp, TieEvent};
 
@@ -48,11 +51,10 @@ pub struct ApplyReport {
 /// Incremental fold-in state over a frozen embedding space.
 ///
 /// See the [module docs](self) for semantics. The engine is `Sync`-friendly
-/// by design: scoring takes `&self` plus a caller-owned scratch buffer, so
-/// a server can wrap one engine in an `RwLock` and score under read locks.
+/// by design: scoring takes `&self`, so a server can wrap one engine in an
+/// `RwLock` and score under read locks.
 pub struct StreamEngine {
-    model: Arc<DirectionalityModel>,
-    index: FoldInIndex,
+    table: Arc<ScoreTable>,
     overlay: BTreeMap<(u32, u32), Overlay>,
     log: Vec<TieEvent>,
     /// `Added` entries in `overlay`, kept by `apply_follow`/`apply_unfollow`.
@@ -62,12 +64,20 @@ pub struct StreamEngine {
 }
 
 impl StreamEngine {
-    /// An engine with an empty event log over `model`.
+    /// An engine with an empty event log over `model`'s scores.
     pub fn new(model: Arc<DirectionalityModel>) -> Self {
-        let index = FoldInIndex::build(&model);
+        Self::over(Arc::new(ScoreTable::of(&model)))
+    }
+
+    /// An engine with an empty event log over `table`.
+    ///
+    /// # Panics
+    /// Panics if `table` holds no head scores (it was loaded without
+    /// fold-in), since dynamic ties could not be scored.
+    pub fn over(table: Arc<ScoreTable>) -> Self {
+        assert!(table.has_head_scores(), "a stream engine needs a table with head scores");
         StreamEngine {
-            model,
-            index,
+            table,
             overlay: BTreeMap::new(),
             log: Vec::new(),
             live_dynamic: 0,
@@ -82,15 +92,15 @@ impl StreamEngine {
         engine
     }
 
-    /// The bound model.
-    pub fn model(&self) -> &Arc<DirectionalityModel> {
-        &self.model
+    /// The bound score table.
+    pub fn table(&self) -> &Arc<ScoreTable> {
+        &self.table
     }
 
     /// The bound model's content fingerprint (the cache generation all of
     /// this engine's scores belong to).
     pub fn fingerprint(&self) -> u64 {
-        self.model.fingerprint()
+        self.table.fingerprint()
     }
 
     /// The append-only event log (everything ever applied, in order).
@@ -114,7 +124,7 @@ impl StreamEngine {
     }
 
     fn trained(&self, u: u32, v: u32) -> bool {
-        self.model.tie_row(NodeId(u), NodeId(v)).is_some()
+        self.table.tie_row(NodeId(u), NodeId(v)).is_some()
     }
 
     /// Makes `(u, v)` live, returning whether the pair's score changed.
@@ -201,26 +211,33 @@ impl StreamEngine {
 
     /// Directionality score for `(u, v)` under the current overlay:
     /// `None` when the pair does not exist, the exact trained score for
-    /// untouched trained pairs, and the fold-in score (neutral `0.5` when
-    /// the head is unseen) for dynamic pairs. `scratch` is the reusable
-    /// fold-in buffer — hold one per worker and this path never allocates.
-    pub fn score(&self, u: NodeId, v: NodeId, scratch: &mut Vec<f32>) -> Option<f64> {
+    /// untouched trained pairs, and the head's fold-in score (neutral `0.5`
+    /// when the head has no in-ties) for dynamic pairs. Two table reads at
+    /// most; nothing is allocated, and `_scratch` is no longer used.
+    pub fn score(&self, u: NodeId, v: NodeId, _scratch: &mut Vec<f32>) -> Option<f64> {
         match self.overlay.get(&(u.0, v.0)) {
             Some(Overlay::Removed) => None,
-            Some(Overlay::Added) => {
-                Some(self.index.foldin_score_into(&self.model, u, v, scratch).unwrap_or(0.5))
-            }
-            None => self.model.score(u, v),
+            Some(Overlay::Added) => Some(self.table.head_score(v).unwrap_or(0.5)),
+            None => self.table.score(u, v),
         }
     }
 
-    /// Rebinds the engine to a new model (hot reload): rebuilds the fold-in
-    /// index and re-normalizes the retained event log against the new
-    /// trained tie set. Equivalent to `StreamEngine::replay(new_model, log)`
-    /// — the log, not the old overlay, is the source of truth.
+    /// Rebinds the engine to a new model's scores (hot reload); see
+    /// [`Self::rebind_table`].
     pub fn rebind(&mut self, model: Arc<DirectionalityModel>) {
-        self.index = FoldInIndex::build(&model);
-        self.model = model;
+        self.rebind_table(Arc::new(ScoreTable::of(&model)));
+    }
+
+    /// Rebinds the engine to a new score table (hot reload) and
+    /// re-normalizes the retained event log against its trained tie set.
+    /// Equivalent to `StreamEngine::over(table)` replaying the log — the
+    /// log, not the old overlay, is the source of truth.
+    ///
+    /// # Panics
+    /// Panics if `table` holds no head scores, as [`Self::over`] does.
+    pub fn rebind_table(&mut self, table: Arc<ScoreTable>) {
+        assert!(table.has_head_scores(), "a stream engine needs a table with head scores");
+        self.table = table;
         self.overlay.clear();
         self.live_dynamic = 0;
         self.removed_trained = 0;
@@ -237,7 +254,7 @@ impl StreamEngine {
     /// batch-size and thread-count invariance on it.
     pub fn state_digest(&self) -> u64 {
         let fold = |h: u64, x: u64| fnv1a64(&x.to_le_bytes(), h);
-        let mut h = fold(FNV64_SEED, self.model.fingerprint());
+        let mut h = fold(FNV64_SEED, self.table.fingerprint());
         h = fold(h, self.log.len() as u64);
         for (&(u, v), &state) in &self.overlay {
             h = fold(h, u64::from(u));

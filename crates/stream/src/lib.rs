@@ -7,8 +7,9 @@
 //! a trained [`DirectionalityModel`](deepdirect::DirectionalityModel):
 //!
 //! - a **follow** of an untrained pair becomes a *dynamic tie* scored by
-//!   the head-cluster fold-in mean (DESIGN.md §6, via
-//!   [`FoldInIndex`](deepdirect::FoldInIndex));
+//!   the head-cluster fold-in mean (DESIGN.md §6), which for an untrained
+//!   pair depends on the head alone and is read from the
+//!   [`ScoreTable`](deepdirect::ScoreTable)'s per-head scores;
 //! - an **unfollow** of a trained tie tombstones it (the pair stops
 //!   scoring, exactly like an unknown tie);
 //! - a **reciprocation** is a follow of both orders.
