@@ -202,11 +202,6 @@ fn load_traced<T>(
     loaded
 }
 
-/// Loads a `.ddm` model whole, under [`load_traced`]'s telemetry.
-fn load_model_traced(path: &str, obs: &ObserverHandle) -> Result<DirectionalityModel, String> {
-    load_traced(path, obs, |p| DirectionalityModel::load_from_path(p))
-}
-
 /// Streams a `.ddm` into the score table a shard serves, under
 /// [`load_traced`]'s telemetry; head scores only for a streaming shard.
 fn load_table_traced(path: &str, obs: &ObserverHandle, stream: bool) -> Result<ScoreTable, String> {
@@ -220,8 +215,10 @@ fn fit_or_load(args: &Args, g: &MixedSocialNetwork) -> Result<DirectionalityMode
     } else {
         // `load_from_path` names the offending path in schema/corruption
         // errors; tag the flag so the user knows where the path came from.
-        load_model_traced(&model_path, &telemetry_observer(args)?)
-            .map_err(|e| format!("flag --model: {e}"))
+        load_traced(&model_path, &telemetry_observer(args)?, |p| {
+            DirectionalityModel::load_from_path(p)
+        })
+        .map_err(|e| format!("flag --model: {e}"))
     }
 }
 
@@ -245,9 +242,9 @@ fn predict(args: &Args) -> Result<String, String> {
     let model_path = args.positional(0, "model")?;
     let src: u32 = args.positional(1, "src")?.parse().map_err(|_| "src must be a node id")?;
     let dst: u32 = args.positional(2, "dst")?.parse().map_err(|_| "dst must be a node id")?;
-    let model = load_model_traced(model_path, &telemetry_observer(args)?)?;
-    let fwd = model.score(NodeId(src), NodeId(dst));
-    let rev = model.score(NodeId(dst), NodeId(src));
+    let table = load_table_traced(model_path, &telemetry_observer(args)?, false)?;
+    let fwd = table.score(NodeId(src), NodeId(dst));
+    let rev = table.score(NodeId(dst), NodeId(src));
     match (fwd, rev) {
         (Some(f), Some(r)) => {
             let dir = if f >= r { format!("{src} -> {dst}") } else { format!("{dst} -> {src}") };
@@ -351,8 +348,8 @@ fn score(args: &Args) -> Result<String, String> {
     let model_path = args.positional(0, "model")?;
     let src: u32 = args.positional(1, "src")?.parse().map_err(|_| "src must be a node id")?;
     let dst: u32 = args.positional(2, "dst")?.parse().map_err(|_| "dst must be a node id")?;
-    let model = load_model_traced(model_path, &telemetry_observer(args)?)?;
-    match model.score(NodeId(src), NodeId(dst)) {
+    let table = load_table_traced(model_path, &telemetry_observer(args)?, false)?;
+    match table.score(NodeId(src), NodeId(dst)) {
         Some(v) => Ok(format!("{v}")),
         None => Err(format!("tie ({src},{dst}) was not in the training network")),
     }
@@ -659,11 +656,11 @@ fn events_cmd(args: &Args) -> Result<String, String> {
 ///   `--events <file>` or stdin and POSTs it to a streaming server's
 ///   `/ingest` in batches of `--batch` events. Prints the applied /
 ///   invalidated totals and the server's final state digest.
-/// - **Offline replay** (`<model> --events <file>`): folds the log into the
-///   frozen model locally with the same [`dd_stream::StreamEngine`] the
-///   server runs, printing applied/live counts and the state digest — the
-///   digest must equal the online run's, which is how `serve_e2e.rs`
-///   proves replay determinism. `--score SRC DST` instead prints the single
+/// - **Offline replay** (`<model> --events <file>`): loads the score table
+///   a streaming shard loads and folds the log into it with the same
+///   [`dd_stream::StreamEngine`] the server runs, printing applied/live
+///   counts and the state digest — the digest must equal the online run's,
+///   which is how `serve_e2e.rs` proves replay determinism. `--score SRC DST` instead prints the single
 ///   raw fold-in score with `{}` formatting, byte-identical to the server's
 ///   JSON field.
 fn ingest(args: &Args) -> Result<String, String> {
@@ -729,9 +726,10 @@ fn ingest(args: &Args) -> Result<String, String> {
     if events_path.is_empty() {
         return Err("offline replay requires --events <file.jsonl>".into());
     }
-    let model = Arc::new(load_model_traced(model_path, &telemetry_observer(args)?)?);
+    let table = load_table_traced(model_path, &telemetry_observer(args)?, true)?;
     let events = read_log()?;
-    let engine = dd_stream::StreamEngine::replay(model, &events);
+    let mut engine = dd_stream::StreamEngine::over(Arc::new(table));
+    engine.apply_all(&events);
 
     if let Some(src_s) = args.flags.get("score") {
         // `--score SRC DST`: SRC rides as the flag value, DST as the next

@@ -1,9 +1,9 @@
 //! The DeepDirect binary model container (`.ddm`) — spec in DESIGN.md §7.13.
 //!
-//! A compact little-endian format built for zero-copy loading: after one
-//! `read` into a 64-byte-aligned buffer ([`dd_linalg::bytes::AlignedBuf`]),
-//! the numeric sections are borrowed in place as typed slices — no parse, no
-//! per-element conversion, no `mmap`.
+//! A compact little-endian format whose float blocks are laid out as a
+//! [`TieStore`] holds them: row-major `rows × dim` `f32`s, each block on a
+//! 64-byte boundary. Loading copies them in bulk, with no parse and no
+//! per-element conversion.
 //!
 //! ```text
 //! offset  size  field
@@ -24,18 +24,23 @@
 //! bumps the container version, value-interpretation changes bump the model
 //! schema version.
 //!
-//! Two loaders read it. `decode` takes the whole file and adopts its blocks
-//! zero-copy (`DirectionalityModel::load*`). `decode_scores` streams the
-//! float blocks through one reused chunk and keeps only each row's score and
-//! each head's fold-in score (`ScoreTable::load*`, what a `dd serve` shard
-//! holds). Both run the same checks in the same order.
+//! One reader serves both loaders. `read_lead` reads and checks
+//! everything before the float blocks: header, section table, the
+//! checksums of meta and ties, the meta and shape checks, and the ties.
+//! `stream_block` then reads each float block about a MiB at a time,
+//! checksumming, byte-order fixing, fingerprinting and scanning each piece
+//! for non-finite values. `decode_model` has it write the pieces straight
+//! into the model's [`TieStore`] (`DirectionalityModel::load*`);
+//! `decode_scores` reuses one chunk for them and keeps only each row's
+//! score and each head's fold-in score (`ScoreTable::load*`, what a
+//! `dd serve` shard holds). So both loaders give any input the same
+//! verdict and the same fingerprint.
 //!
 //! Every validation failure is a typed [`BinaryFormatError`] naming the
 //! offending section — neither loader panics on hostile input (pinned by
 //! the corrupt-binary chaos suite).
 
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::ops::Range;
 
 use dd_linalg::bytes::{self, AlignedBuf, BLOCK_ALIGN};
 use dd_linalg::kernels::dot8_f64;
@@ -44,7 +49,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::DeepDirectConfig;
 use crate::dstep::{self, DirectionalityHead};
-use crate::model::{pair_index_of, Fingerprint, MODEL_SCHEMA_VERSION};
+use crate::model::{pair_index_of, DirectionalityModel, Fingerprint, MODEL_SCHEMA_VERSION};
 use crate::scores::{HeadSums, ScoreTable};
 use crate::store::{align_up, TieStore};
 
@@ -259,15 +264,6 @@ struct MetaDoc {
     estep_iterations: u64,
 }
 
-/// Everything [`decode`] extracts from a validated buffer.
-pub(crate) struct DecodedModel {
-    pub cfg: DeepDirectConfig,
-    pub head: DirectionalityHead,
-    pub estep_iterations: u64,
-    pub ties: Vec<(u32, u32)>,
-    pub store: TieStore,
-}
-
 /// One section as the table places it.
 #[derive(Debug, Clone, Copy)]
 struct Section {
@@ -278,10 +274,6 @@ struct Section {
 }
 
 impl Section {
-    fn range(&self) -> Range<usize> {
-        self.offset..self.offset + self.len
-    }
-
     /// Fails unless `computed` is the payload CRC the table stores.
     fn check_crc(&self, computed: u32) -> Result<(), BinaryFormatError> {
         if computed != self.crc {
@@ -305,13 +297,6 @@ struct Layout {
     dst: Section,
     emb: Section,
     ctx: Option<Section>,
-}
-
-impl Layout {
-    /// The float blocks, in the order they are checked and fingerprinted.
-    fn blocks(&self) -> impl Iterator<Item = Section> {
-        std::iter::once(self.emb).chain(self.ctx)
-    }
 }
 
 fn read_u32(bytes: &[u8], off: usize) -> u32 {
@@ -523,62 +508,7 @@ fn f32s<'a>(payload: &'a [u8], name: &'static str) -> Result<&'a [f32], BinaryFo
     bytes::f32_slice(payload).map_err(|_| BinaryFormatError::BadSectionLength { name, len: 0 })
 }
 
-/// Validates `buf` fully and decodes it into model parts, adopting the
-/// numeric blocks zero-copy (the embedding slices borrow the same
-/// allocation the file was read into).
-///
-/// The checks run in the order [`decode_scores`] runs them: header and
-/// table, the checksums of meta and ties, the meta and shape checks, then
-/// each float block's checksum before its finiteness scan. So both loaders
-/// give any input the same verdict, and a corrupt block fails on its
-/// checksum, not on whatever value the corruption left in it.
-pub(crate) fn decode(mut buf: AlignedBuf) -> Result<DecodedModel, BinaryFormatError> {
-    let file = buf.as_bytes();
-    let lead = table_end(&file[..file.len().min(HEADER_LEN)], file.len())?;
-    let layout = layout(&file[..lead], file.len())?;
-    for s in [layout.meta, layout.src, layout.dst] {
-        s.check_crc(bytes::crc32(&file[s.range()]))?;
-    }
-    let meta = parse_meta(&file[layout.meta.range()], &layout)?;
-    // The payloads are little-endian on disk; each aligned word flips once
-    // on big-endian targets, after its checksum was verified over the raw
-    // bytes.
-    for s in [layout.src, layout.dst] {
-        normalize_endianness(&mut buf.as_mut_bytes()[s.range()]);
-    }
-    for block in layout.blocks() {
-        block.check_crc(bytes::crc32(&buf.as_bytes()[block.range()]))?;
-        normalize_endianness(&mut buf.as_mut_bytes()[block.range()]);
-        if let Some(index) = first_non_finite(f32s(&buf.as_bytes()[block.range()], block.name)?) {
-            return Err(BinaryFormatError::NonFinite { name: block.name, index });
-        }
-    }
-
-    let ties = {
-        let src = u32s(&buf.as_bytes()[layout.src.range()], layout.src.name)?;
-        let dst = u32s(&buf.as_bytes()[layout.dst.range()], layout.dst.name)?;
-        src.iter().copied().zip(dst.iter().copied()).collect::<Vec<(u32, u32)>>()
-    };
-
-    let (rows, dim) = (meta.rows as usize, meta.dim as usize);
-    let (emb_off, ctx_off) = (layout.emb.offset, layout.ctx.map(|c| c.offset));
-    let store = TieStore::adopt(buf, dim, rows, emb_off, ctx_off).map_err(|e| {
-        // adopt re-checks what the layout and shape checks already proved; a
-        // failure here means the shape arithmetic disagrees with the section
-        // length.
-        BinaryFormatError::Meta(format!("block adoption failed: {e}"))
-    })?;
-
-    Ok(DecodedModel {
-        cfg: meta.cfg,
-        head: meta.head,
-        estep_iterations: meta.estep_iterations,
-        ties,
-        store,
-    })
-}
-
-/// Why a streamed load failed: the reader, or the bytes it gave.
+/// Why a load failed: the reader, or the bytes it gave.
 #[derive(Debug)]
 pub(crate) enum StreamError {
     /// The reader failed.
@@ -599,7 +529,17 @@ impl From<BinaryFormatError> for StreamError {
     }
 }
 
-/// Bytes [`decode_scores`] reads of a float block at a time (rounded down
+/// The message both loaders report.
+impl std::fmt::Display for StreamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamError::Io(e) => write!(f, "reading model: {e}"),
+            StreamError::Format(e) => write!(f, "invalid binary model: {e}"),
+        }
+    }
+}
+
+/// Bytes [`stream_block`] reads of a float block at a time (rounded down
 /// to whole rows).
 const CHUNK_BYTES: usize = 1 << 20;
 
@@ -609,27 +549,93 @@ fn read_section<R: Read + Seek>(r: &mut R, s: &Section) -> std::io::Result<Align
     AlignedBuf::read_exact_from(r, s.len)
 }
 
-/// Streams float block `s` through `chunk`, whose length is a whole number
-/// of rows of `row_len` floats. Each piece is checksummed over its raw
-/// bytes, fed to the fingerprint as native bytes, scanned for non-finite
-/// values and handed to `each` with the index of its first row. A
-/// non-finite value is reported only once the block's checksum has
-/// matched, as [`decode`] reports it.
+/// What a `.ddm` holds before its float blocks, checked.
+struct Lead {
+    layout: Layout,
+    meta: MetaDoc,
+    /// The native-endian `tie.src` and `tie.dst` payloads.
+    tie_bytes: [AlignedBuf; 2],
+    /// The model's fingerprint, fed the shapes and the ties.
+    fingerprint: Fingerprint,
+}
+
+/// The source and destination ids of [`Lead::tie_bytes`], in row order.
+fn tie_ids(tie_bytes: &[AlignedBuf; 2]) -> [&[u32]; 2] {
+    tie_bytes
+        .each_ref()
+        .map(|b| bytes::u32_slice(b.as_bytes()).expect("read_lead checked the cast"))
+}
+
+/// Reads and checks everything of the `.ddm` in `r` but its float blocks,
+/// in this order: the header and the section table, the checksums of
+/// meta and ties, then the meta and shape checks.
+fn read_lead<R: Read + Seek>(r: &mut R) -> Result<Lead, StreamError> {
+    let file_len = usize::try_from(r.seek(SeekFrom::End(0))?)
+        .map_err(|e| std::io::Error::other(format!("file too large: {e}")))?;
+    r.seek(SeekFrom::Start(0))?;
+    let mut lead = vec![0u8; file_len.min(HEADER_LEN)];
+    r.read_exact(&mut lead)?;
+    let end = table_end(&lead, file_len)?;
+    lead.resize(end, 0);
+    r.read_exact(&mut lead[HEADER_LEN..])?;
+    let layout = layout(&lead, file_len)?;
+    let meta_bytes = read_section(r, &layout.meta)?;
+    layout.meta.check_crc(bytes::crc32(meta_bytes.as_bytes()))?;
+    let mut tie_bytes = [read_section(r, &layout.src)?, read_section(r, &layout.dst)?];
+    for (s, payload) in [layout.src, layout.dst].iter().zip(&tie_bytes) {
+        s.check_crc(bytes::crc32(payload.as_bytes()))?;
+    }
+    let meta = parse_meta(meta_bytes.as_bytes(), &layout)?;
+    // The payloads are little-endian on disk; each word flips once on
+    // big-endian targets, after its checksum was verified over the raw
+    // bytes.
+    for payload in &mut tie_bytes {
+        normalize_endianness(payload.as_mut_bytes());
+    }
+    for (s, payload) in [layout.src, layout.dst].iter().zip(&tie_bytes) {
+        u32s(payload.as_bytes(), s.name)?;
+    }
+    let mut fingerprint = Fingerprint::new(meta.dim as usize, meta.rows as usize);
+    let [src, dst] = tie_ids(&tie_bytes);
+    fingerprint.ties(src.iter().copied().zip(dst.iter().copied()));
+    Ok(Lead { layout, meta, tie_bytes, fingerprint })
+}
+
+/// Bytes [`stream_block`] reads at a time of a `len`-byte block of rows of
+/// `row_len` floats: about [`CHUNK_BYTES`], in whole rows.
+pub(crate) fn piece_len(row_len: usize, len: usize) -> usize {
+    let row = row_len * 4;
+    if row == 0 {
+        return 0;
+    }
+    ((CHUNK_BYTES / row).max(1) * row).min(len)
+}
+
+/// Streams float block `s` into `dest`, [`piece_len`] bytes at a time.
+/// A `dest` as long as the block takes each piece at its own offset (the
+/// model's store); a shorter one takes every piece in turn (the table's
+/// reused chunk). Each piece is checksummed over its raw bytes, fed to the
+/// fingerprint as native bytes, scanned for non-finite values and handed
+/// to `each` with the index of its first row. A non-finite value is
+/// reported only once the block's checksum has matched, so a corrupt block
+/// fails on its checksum, not on whatever value the corruption left in it.
 fn stream_block<R: Read + Seek>(
     r: &mut R,
     s: &Section,
     row_len: usize,
-    chunk: &mut AlignedBuf,
+    dest: &mut [u8],
     fingerprint: &mut Fingerprint,
     mut each: impl FnMut(usize, &[f32]),
 ) -> Result<(), StreamError> {
     r.seek(SeekFrom::Start(s.offset as u64))?;
+    let step = piece_len(row_len, s.len);
     let mut crc = 0;
     let mut non_finite = None;
     let mut done = 0;
     while done < s.len {
-        let take = (s.len - done).min(chunk.len());
-        let piece = &mut chunk.as_mut_bytes()[..take];
+        let take = (s.len - done).min(step);
+        let at = if dest.len() == s.len { done } else { 0 };
+        let piece = &mut dest[at..at + take];
         r.read_exact(piece)?;
         crc = bytes::crc32_update(crc, piece);
         normalize_endianness(piece);
@@ -649,13 +655,40 @@ fn stream_block<R: Read + Seek>(
     }
 }
 
+/// Validates a `.ddm` read from `r` and loads it whole: [`read_lead`],
+/// then the embedding block and the context block streamed straight into
+/// a zeroed [`TieStore`].
+pub(crate) fn decode_model<R: Read + Seek>(r: &mut R) -> Result<DirectionalityModel, StreamError> {
+    let Lead { layout, meta, tie_bytes, mut fingerprint } = read_lead(r)?;
+    let [src, dst] = tie_ids(&tie_bytes);
+    let ties: Vec<_> = src.iter().copied().zip(dst.iter().copied()).collect();
+    drop(tie_bytes);
+    let dim = meta.dim as usize;
+    let mut store = TieStore::zeroed(dim, meta.rows as usize, layout.ctx.is_some());
+    let (emb, ctx) = store.blocks_mut();
+    stream_block(r, &layout.emb, dim, emb, &mut fingerprint, |_, _| {})?;
+    if let (Some(s), Some(ctx)) = (&layout.ctx, ctx) {
+        stream_block(r, s, dim, ctx, &mut fingerprint, |_, _| {})?;
+    }
+    Ok(DirectionalityModel {
+        cfg: meta.cfg,
+        pair_index: pair_index_of(ties.iter().copied()),
+        ties,
+        store,
+        fingerprint: fingerprint.finish(&meta.head),
+        head: meta.head,
+        estep_iterations: meta.estep_iterations,
+        estep_seconds: 0.0,
+        estep_iters_per_sec: 0.0,
+    })
+}
+
 /// Validates a `.ddm` read from `r` and computes what a shard serves from
 /// it: every row's score, with `fold_in`, every head's fold-in score, and
-/// the fingerprint, without holding the float blocks. Meta and ties are
-/// read whole; the embedding block, then the context block, stream
-/// through one reused chunk of about [`CHUNK_BYTES`]. Every check is
-/// [`decode`]'s, in the same order, and every score is computed with the
-/// arithmetic of [`DirectionalityModel::score_row`] and
+/// the fingerprint, without holding the float blocks. After
+/// [`read_lead`], the embedding block, then the context block, stream
+/// through one reused chunk of about [`CHUNK_BYTES`]. Every score is
+/// computed with the arithmetic of [`DirectionalityModel::score_row`] and
 /// [`FoldInIndex`](crate::FoldInIndex) on the rows in ascending order, so
 /// the values are bit-identical to the loaded model's.
 ///
@@ -664,45 +697,20 @@ pub(crate) fn decode_scores<R: Read + Seek>(
     r: &mut R,
     fold_in: bool,
 ) -> Result<ScoreTable, StreamError> {
-    let file_len = usize::try_from(r.seek(SeekFrom::End(0))?)
-        .map_err(|e| std::io::Error::other(format!("file too large: {e}")))?;
-    r.seek(SeekFrom::Start(0))?;
-    let mut lead = vec![0u8; file_len.min(HEADER_LEN)];
-    r.read_exact(&mut lead)?;
-    let end = table_end(&lead, file_len)?;
-    lead.resize(end, 0);
-    r.read_exact(&mut lead[HEADER_LEN..])?;
-    let layout = layout(&lead, file_len)?;
-    let meta_bytes = read_section(r, &layout.meta)?;
-    layout.meta.check_crc(bytes::crc32(meta_bytes.as_bytes()))?;
-    let mut ties = [read_section(r, &layout.src)?, read_section(r, &layout.dst)?];
-    for (s, payload) in [layout.src, layout.dst].iter().zip(&ties) {
-        s.check_crc(bytes::crc32(payload.as_bytes()))?;
-    }
-    let meta = parse_meta(meta_bytes.as_bytes(), &layout)?;
-    drop(meta_bytes);
-    for payload in &mut ties {
-        normalize_endianness(payload.as_mut_bytes());
-    }
-    let [src, dst] = &ties;
-    let src = u32s(src.as_bytes(), layout.src.name)?;
-    let dst = u32s(dst.as_bytes(), layout.dst.name)?;
-
+    let Lead { layout, meta, tie_bytes, mut fingerprint } = read_lead(r)?;
     let (rows, dim) = (meta.rows as usize, meta.dim as usize);
-    let mut fingerprint = Fingerprint::new(dim, rows);
-    fingerprint.ties(src.iter().copied().zip(dst.iter().copied()));
+    let [src, dst] = tie_ids(&tie_bytes);
     let index = pair_index_of(src.iter().copied().zip(dst.iter().copied()));
     let mut heads = fold_in.then(|| HeadSums::new(dst.iter().copied(), dim));
-    drop(ties);
+    drop(tie_bytes);
 
     let DirectionalityHead::Logistic(lr) = &meta.head;
     let (w_emb, w_ctx) = lr.w.split_at(dim.min(lr.w.len()));
     // Each row's logit, built as `score_row` builds it: the embedding
     // half's dot, then `+=` the context half's.
     let mut z = vec![0.0f64; rows];
-    let chunk_rows = if dim == 0 { 0 } else { (CHUNK_BYTES / (dim * 4)).max(1).min(rows) };
-    let mut chunk = AlignedBuf::zeroed(chunk_rows * dim * 4);
-    stream_block(r, &layout.emb, dim, &mut chunk, &mut fingerprint, |first, floats| {
+    let mut chunk = AlignedBuf::zeroed(piece_len(dim, layout.emb.len));
+    stream_block(r, &layout.emb, dim, chunk.as_mut_bytes(), &mut fingerprint, |first, floats| {
         for (zi, row) in z[first..].iter_mut().zip(floats.chunks_exact(dim)) {
             *zi = dot8_f64(w_emb, row);
         }
@@ -711,7 +719,7 @@ pub(crate) fn decode_scores<R: Read + Seek>(
         }
     })?;
     if let Some(ctx) = &layout.ctx {
-        stream_block(r, ctx, dim, &mut chunk, &mut fingerprint, |first, floats| {
+        stream_block(r, ctx, dim, chunk.as_mut_bytes(), &mut fingerprint, |first, floats| {
             for (zi, row) in z[first..].iter_mut().zip(floats.chunks_exact(dim)) {
                 *zi += dot8_f64(w_ctx, row);
             }

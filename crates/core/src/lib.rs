@@ -27,7 +27,7 @@
 //! * [`dstep`] — the directionality head, the paper's logistic regression.
 //! * [`model`] — the public [`DeepDirect`] / [`DirectionalityModel`] API.
 //! * [`binfmt`] — the checksummed little-endian binary model container
-//!   (zero-copy loading; DESIGN.md §7.13).
+//!   (one streamed reader for models and score tables; DESIGN.md §7.13).
 //! * [`store`] — structure-of-arrays embedding storage behind the scoring
 //!   hot path.
 //! * [`apps`] — the two applications of Sec. 5 plus the bidirectionality

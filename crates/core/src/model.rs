@@ -1,12 +1,12 @@
 //! Public model API: fit a [`DeepDirect`] on a mixed social network, get a
 //! [`DirectionalityModel`] that scores ordered ties.
 
-use std::io::{Read, Write};
+use std::io::{Cursor, Read, Write};
 use std::path::Path;
 
 use dd_graph::hash::FxHashMap;
 use dd_graph::{MixedSocialNetwork, NodeId};
-use dd_linalg::bytes::{AlignedBuf, Xxh64};
+use dd_linalg::bytes::Xxh64;
 use dd_linalg::kernels::dot8_f64;
 use dd_linalg::matrix::DenseMatrix;
 use dd_linalg::rng::Pcg32;
@@ -148,9 +148,9 @@ pub const MODEL_SCHEMA_VERSION: u32 = 1;
 /// to single-threaded ones.
 #[derive(Debug, Clone)]
 pub struct DirectionalityModel {
-    cfg: DeepDirectConfig,
+    pub(crate) cfg: DeepDirectConfig,
     /// Ordered universe ties as raw id pairs, row-aligned with the store.
-    ties: Vec<(u32, u32)>,
+    pub(crate) ties: Vec<(u32, u32)>,
     pub(crate) pair_index: FxHashMap<(u32, u32), u32>,
     /// Structure-of-arrays embedding storage: the embedding block (and the
     /// optional connection block under the `context_features` extension) as
@@ -159,11 +159,11 @@ pub struct DirectionalityModel {
     /// Content fingerprint over shapes, ties, blocks and head parameters —
     /// stable across `.ddm` save/load round-trips within one
     /// build/architecture. Namespaces the serve-side score cache.
-    fingerprint: u64,
-    head: DirectionalityHead,
-    estep_iterations: u64,
-    estep_seconds: f64,
-    estep_iters_per_sec: f64,
+    pub(crate) fingerprint: u64,
+    pub(crate) head: DirectionalityHead,
+    pub(crate) estep_iterations: u64,
+    pub(crate) estep_seconds: f64,
+    pub(crate) estep_iters_per_sec: f64,
 }
 
 /// Row of each ordered tie, sized for all of them up front so the map never
@@ -364,48 +364,26 @@ impl DirectionalityModel {
         self.save_binary(f)
     }
 
-    /// Builds a model from a validated binary buffer (zero-copy adoption of
-    /// the embedding blocks).
-    fn load_binary_buf(buf: AlignedBuf) -> Result<Self, String> {
-        let decoded = binfmt::decode(buf).map_err(|e| format!("invalid binary model: {e}"))?;
-        let pair_index = pair_index_of(decoded.ties.iter().copied());
-        let fingerprint = fingerprint_of(&decoded.store, &decoded.ties, &decoded.head);
-        Ok(DirectionalityModel {
-            cfg: decoded.cfg,
-            ties: decoded.ties,
-            pair_index,
-            store: decoded.store,
-            fingerprint,
-            head: decoded.head,
-            estep_iterations: decoded.estep_iterations,
-            estep_seconds: 0.0,
-            estep_iters_per_sec: 0.0,
-        })
-    }
-
     /// Deserializes a model saved with [`Self::save_binary`]. Any other
     /// input, an old JSON model included, fails with a typed
     /// [`binfmt::BinaryFormatError`] naming the offending section or region.
     pub fn load<R: Read>(mut r: R) -> Result<Self, String> {
         let mut raw = Vec::new();
         r.read_to_end(&mut raw).map_err(|e| format!("reading model: {e}"))?;
-        Self::load_binary_buf(AlignedBuf::from_slice(&raw))
+        binfmt::decode_model(&mut Cursor::new(raw)).map_err(|e| e.to_string())
     }
 
-    /// Loads a `.ddm` model from a file. The read is one pass: the file
-    /// lands directly in a 64-byte-aligned buffer whose embedding blocks the
-    /// model borrows zero-copy. Errors name the offending path.
+    /// Loads a `.ddm` model from a file, through the reader
+    /// [`ScoreTable::load_from_path`](crate::ScoreTable::load_from_path)
+    /// uses: the header, table, meta and ties are read and checked, then
+    /// each float block streams in pieces straight into the model's
+    /// [`TieStore`], checksummed, scanned and fingerprinted as it lands.
+    /// Errors name the offending path.
     pub fn load_from_path<P: AsRef<Path>>(path: P) -> Result<Self, String> {
         let path = path.as_ref();
-        let wrap = |e: String| format!("loading model '{}': {e}", path.display());
         let mut f = std::fs::File::open(path)
             .map_err(|e| format!("opening model '{}': {e}", path.display()))?;
-        let len =
-            f.metadata().map_err(|e| format!("opening model '{}': {e}", path.display()))?.len();
-        let len = usize::try_from(len).map_err(|e| wrap(format!("file too large: {e}")))?;
-        let buf = AlignedBuf::read_exact_from(&mut f, len)
-            .map_err(|e| wrap(format!("reading model: {e}")))?;
-        Self::load_binary_buf(buf).map_err(wrap)
+        binfmt::decode_model(&mut f).map_err(|e| format!("loading model '{}': {e}", path.display()))
     }
 }
 
@@ -486,29 +464,45 @@ mod tests {
         }
     }
 
+    /// A small context model, and one whose embedding and context blocks
+    /// each load in several pieces, the last of them partial.
     #[test]
     fn binary_roundtrip_preserves_context_blocks() {
-        let gen_cfg = SocialNetConfig { n_nodes: 60, ..Default::default() };
-        let mut grng = StdRng::seed_from_u64(13);
-        let net = social_network(&gen_cfg, &mut grng).network;
-        let cfg = DeepDirectConfig {
-            dim: 12,
-            max_iterations: Some(10_000),
-            context_features: true,
-            ..DeepDirectConfig::default()
-        };
-        let model = DeepDirect::new(cfg).fit(&net);
-        let mut bin = Vec::new();
-        model.save_binary(&mut bin).unwrap();
-        let loaded = DirectionalityModel::load(bin.as_slice()).unwrap();
-        assert!(loaded.config().context_features);
-        for row in 0..model.n_ties() {
-            assert_eq!(
-                model.score_row(row).to_bits(),
-                loaded.score_row(row).to_bits(),
-                "context-model score diverged at row {row}"
-            );
+        let mut ends_on_a_partial_piece = false;
+        for (n_nodes, seed, dim, iterations, dstep_epochs) in
+            [(60, 13, 12, 10_000, 30), (3_000, 5, 64, 1_000, 0)]
+        {
+            let gen_cfg = SocialNetConfig { n_nodes, ..Default::default() };
+            let mut grng = StdRng::seed_from_u64(seed);
+            let net = social_network(&gen_cfg, &mut grng).network;
+            let cfg = DeepDirectConfig {
+                dim,
+                threads: 1,
+                max_iterations: Some(iterations),
+                dstep_epochs,
+                context_features: true,
+                ..DeepDirectConfig::default()
+            };
+            let model = DeepDirect::new(cfg).fit(&net);
+            let block = model.n_ties() * dim * 4;
+            let piece = binfmt::piece_len(dim, block);
+            ends_on_a_partial_piece |= block > 2 * piece && !block.is_multiple_of(piece);
+            let mut bin = Vec::new();
+            model.save_binary(&mut bin).unwrap();
+            let loaded = DirectionalityModel::load(bin.as_slice()).unwrap();
+            let table = crate::ScoreTable::load(Cursor::new(&bin), false).unwrap();
+            assert!(loaded.config().context_features);
+            assert_eq!(loaded.store.embedding_bytes(), model.store.embedding_bytes());
+            assert_eq!(loaded.store.context_bytes(), model.store.context_bytes());
+            assert_eq!(loaded.fingerprint(), model.fingerprint(), "{n_nodes} nodes");
+            assert_eq!(table.fingerprint(), model.fingerprint(), "{n_nodes} nodes");
+            for row in 0..model.n_ties() {
+                let score = model.score_row(row).to_bits();
+                assert_eq!(loaded.score_row(row).to_bits(), score, "{n_nodes} nodes, row {row}");
+                assert_eq!(table.row_score(row).to_bits(), score, "{n_nodes} nodes, row {row}");
+            }
         }
+        assert!(ends_on_a_partial_piece, "no block spans several pieces");
     }
 
     #[test]
@@ -647,7 +641,9 @@ mod tests {
 
     #[test]
     fn finiteness_scan_names_the_exact_section_and_element() {
-        use crate::binfmt::{self, section, BinaryFormatError as E, ENTRY_LEN, HEADER_LEN};
+        use crate::binfmt::{
+            self, section, BinaryFormatError as E, StreamError, ENTRY_LEN, HEADER_LEN,
+        };
         use dd_linalg::bytes::crc32;
         let gen_cfg = SocialNetConfig { n_nodes: 60, ..Default::default() };
         let mut grng = StdRng::seed_from_u64(20);
@@ -680,7 +676,11 @@ mod tests {
             bad[entry + 4..entry + 8].copy_from_slice(&crc.to_le_bytes());
             let crc = crc32(&bad[table.clone()]);
             bad[20..24].copy_from_slice(&crc.to_le_bytes());
-            binfmt::decode(AlignedBuf::from_slice(&bad)).err()
+            match binfmt::decode_model(&mut Cursor::new(bad)) {
+                Ok(_) => None,
+                Err(StreamError::Format(e)) => Some(e),
+                Err(e) => panic!("{e}"),
+            }
         };
         let last = model.n_ties() * model.dim() - 1;
         assert_ne!((last + 1) % 64, 0, "the last chunk should be a partial one");

@@ -20,7 +20,7 @@ use std::path::Path;
 use dd_graph::hash::FxHashMap;
 use dd_graph::NodeId;
 
-use crate::binfmt::{self, StreamError};
+use crate::binfmt;
 use crate::config::DeepDirectConfig;
 use crate::dstep::{feature_dim, DirectionalityHead};
 use crate::model::DirectionalityModel;
@@ -69,10 +69,7 @@ impl ScoreTable {
     /// Accepts exactly the files [`DirectionalityModel::load`] accepts and
     /// fails on the others with the same message.
     pub fn load<R: Read + Seek>(mut r: R, fold_in: bool) -> Result<Self, String> {
-        binfmt::decode_scores(&mut r, fold_in).map_err(|e| match e {
-            StreamError::Io(e) => format!("reading model: {e}"),
-            StreamError::Format(e) => format!("invalid binary model: {e}"),
-        })
+        binfmt::decode_scores(&mut r, fold_in).map_err(|e| e.to_string())
     }
 
     /// [`Self::load`] from a file. Errors name the offending path.

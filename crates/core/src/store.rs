@@ -3,9 +3,11 @@
 //! [`TieStore`] keeps the embedding block (and the optional connection
 //! block) as contiguous `f32` rows inside one 64-byte-aligned allocation,
 //! so the scoring hot path streams cache-resident rows straight into the
-//! unrolled kernels of [`dd_linalg::kernels`]. It is built by copying
-//! (training) or adopted zero-copy from a validated `.ddm` buffer (the
-//! block stays where the file bytes were read).
+//! unrolled kernels of [`dd_linalg::kernels`]. The blocks are laid out as a
+//! `.ddm` file lays them out: row-major `rows × dim`, the context block
+//! after the embedding block. A store starts zeroed and is filled in place
+//! through `TieStore::blocks_mut`: by copying (training) or by the model
+//! loader streaming a file's blocks straight into it.
 
 use dd_linalg::bytes::{self, AlignedBuf, BLOCK_ALIGN};
 
@@ -21,7 +23,7 @@ pub struct TieStore {
     buf: AlignedBuf,
     dim: usize,
     rows: usize,
-    emb_off: usize,
+    /// Where the context block starts; the embedding block starts at 0.
     ctx_off: Option<usize>,
 }
 
@@ -49,48 +51,32 @@ impl TieStore {
                 ));
             }
         }
-        let emb_bytes = want * std::mem::size_of::<f32>();
-        let ctx_off = ctx.map(|_| align_up(emb_bytes));
-        let total = ctx_off.map_or(emb_bytes, |o| o + emb_bytes);
-        let mut buf = AlignedBuf::zeroed(total);
-        buf.as_mut_bytes()[..emb_bytes].copy_from_slice(bytes::f32_bytes(emb));
-        if let (Some(c), Some(off)) = (ctx, ctx_off) {
-            buf.as_mut_bytes()[off..off + emb_bytes].copy_from_slice(bytes::f32_bytes(c));
+        let mut store = TieStore::zeroed(dim, rows, ctx.is_some());
+        let (emb_block, ctx_block) = store.blocks_mut();
+        emb_block.copy_from_slice(bytes::f32_bytes(emb));
+        if let (Some(block), Some(c)) = (ctx_block, ctx) {
+            block.copy_from_slice(bytes::f32_bytes(c));
         }
-        Ok(TieStore { buf, dim, rows, emb_off: 0, ctx_off })
+        Ok(store)
     }
 
-    /// Adopts an already-validated buffer zero-copy: the embedding block
-    /// lives at `emb_off..emb_off + rows×dim×4` inside `buf` (likewise
-    /// `ctx_off`). Offsets must be [`BLOCK_ALIGN`]-aligned and in bounds —
-    /// the binary loader guarantees this before calling.
-    pub(crate) fn adopt(
-        buf: AlignedBuf,
-        dim: usize,
-        rows: usize,
-        emb_off: usize,
-        ctx_off: Option<usize>,
-    ) -> Result<TieStore, String> {
-        let block = rows
-            .checked_mul(dim)
-            .and_then(|n| n.checked_mul(std::mem::size_of::<f32>()))
-            .ok_or("embedding shape overflows")?;
-        for off in std::iter::once(emb_off).chain(ctx_off) {
-            if off % BLOCK_ALIGN != 0 {
-                return Err(format!("block offset {off} is not {BLOCK_ALIGN}-byte aligned"));
-            }
-            let end = off.checked_add(block).ok_or("block extends past the buffer")?;
-            if end > buf.len() {
-                return Err(format!(
-                    "block {off}..{end} extends past the {}-byte buffer",
-                    buf.len()
-                ));
-            }
-            // Alignment + in-bounds established; prove the cast works now so
-            // accessors can rely on it.
-            bytes::f32_slice(&buf.as_bytes()[off..end]).map_err(|e| e.to_string())?;
-        }
-        Ok(TieStore { buf, dim, rows, emb_off, ctx_off })
+    /// A store whose blocks (the context block only with `contexts`) hold
+    /// `rows × dim` zeros, to be filled through [`Self::blocks_mut`]. The
+    /// caller has proved that a block's `rows × dim × 4` bytes fit in
+    /// memory: it holds them in a slice or in a checked section of a file.
+    pub(crate) fn zeroed(dim: usize, rows: usize, contexts: bool) -> TieStore {
+        let block = rows * dim * std::mem::size_of::<f32>();
+        let ctx_off = contexts.then(|| align_up(block));
+        let buf = AlignedBuf::zeroed(ctx_off.map_or(block, |off| off + block));
+        TieStore { buf, dim, rows, ctx_off }
+    }
+
+    /// The native-endian bytes of the embedding block and of the context
+    /// block, if present, to fill in place.
+    pub(crate) fn blocks_mut(&mut self) -> (&mut [u8], Option<&mut [u8]>) {
+        let len = self.rows * self.dim * std::mem::size_of::<f32>();
+        let (emb, ctx) = self.buf.as_mut_bytes().split_at_mut(self.ctx_off.unwrap_or(len));
+        (&mut emb[..len], self.ctx_off.map(|_| ctx))
     }
 
     /// Embedding dimension `d` (columns per row).
@@ -116,7 +102,7 @@ impl TieStore {
 
     /// The whole embedding block, row-major.
     pub fn embeddings(&self) -> &[f32] {
-        self.block(self.emb_off)
+        self.block(0)
     }
 
     /// The whole context block, row-major, if present.
@@ -174,13 +160,5 @@ mod tests {
         let emb = vec![0.0f32; 12];
         let ctx = vec![0.0f32; 8];
         assert!(TieStore::from_parts(4, 3, &emb, Some(&ctx)).is_err());
-    }
-
-    #[test]
-    fn adopt_checks_alignment_and_bounds() {
-        let buf = AlignedBuf::zeroed(256);
-        assert!(TieStore::adopt(buf.clone(), 4, 3, 0, Some(64)).is_ok());
-        assert!(TieStore::adopt(buf.clone(), 4, 3, 8, None).unwrap_err().contains("aligned"));
-        assert!(TieStore::adopt(buf, 8, 8, 64, None).unwrap_err().contains("past"));
     }
 }

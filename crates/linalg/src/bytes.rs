@@ -6,11 +6,12 @@
 //! length are checked before any cast, so a malformed buffer yields a typed
 //! [`CastError`], never undefined behaviour.
 //!
-//! [`AlignedBuf`] backs the zero-copy binary model loader: the whole file is
-//! read **once** into a 64-byte-aligned allocation, then `&[f32]` / `&[u32]`
-//! views are borrowed straight from it. 64-byte alignment matches the widest
-//! cache line / vector register on current x86-64 and aarch64 parts, so the
-//! scoring kernels stream the embedding blocks without split loads.
+//! [`AlignedBuf`] backs the binary model loader and the embedding store: a
+//! model's blocks are read straight into a 64-byte-aligned allocation, then
+//! `&[f32]` / `&[u32]` views are borrowed from it. 64-byte alignment matches
+//! the widest cache line / vector register on current x86-64 and aarch64
+//! parts, so the scoring kernels stream the embedding blocks without split
+//! loads.
 //!
 //! [`advise_huge_pages`] is the module's one system call: it asks the kernel
 //! to back a freshly allocated training array with 2 MiB pages, and the
@@ -119,8 +120,7 @@ impl AlignedBuf {
     }
 
     /// Reads exactly `len` bytes from `r` directly into a fresh aligned
-    /// buffer — the read-once path of the binary model loader (no staging
-    /// `Vec`, no second copy).
+    /// buffer (no staging `Vec`, no second copy).
     pub fn read_exact_from<R: Read>(r: &mut R, len: usize) -> std::io::Result<Self> {
         let mut buf = AlignedBuf::zeroed(len);
         r.read_exact(buf.as_mut_bytes())?;
