@@ -49,7 +49,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::DeepDirectConfig;
 use crate::dstep::{self, DirectionalityHead};
-use crate::model::{pair_index_of, DirectionalityModel, Fingerprint, MODEL_SCHEMA_VERSION};
+use crate::model::{DirectionalityModel, Fingerprint, MODEL_SCHEMA_VERSION};
+use crate::pairs::PairIndex;
 use crate::scores::{HeadSums, ScoreTable};
 use crate::store::{align_up, TieStore};
 
@@ -672,7 +673,7 @@ pub(crate) fn decode_model<R: Read + Seek>(r: &mut R) -> Result<DirectionalityMo
     }
     Ok(DirectionalityModel {
         cfg: meta.cfg,
-        pair_index: pair_index_of(ties.iter().copied()),
+        pair_index: PairIndex::new(ties.iter().copied()),
         ties,
         store,
         fingerprint: fingerprint.finish(&meta.head),
@@ -700,7 +701,7 @@ pub(crate) fn decode_scores<R: Read + Seek>(
     let Lead { layout, meta, tie_bytes, mut fingerprint } = read_lead(r)?;
     let (rows, dim) = (meta.rows as usize, meta.dim as usize);
     let [src, dst] = tie_ids(&tie_bytes);
-    let index = pair_index_of(src.iter().copied().zip(dst.iter().copied()));
+    let index = PairIndex::new(src.iter().copied().zip(dst.iter().copied()));
     let mut heads = fold_in.then(|| HeadSums::new(dst.iter().copied(), dim));
     drop(tie_bytes);
 

@@ -76,6 +76,7 @@ pub mod dstep;
 pub mod estep;
 pub mod foldin;
 pub mod model;
+mod pairs;
 pub mod scores;
 pub mod store;
 pub mod universe;

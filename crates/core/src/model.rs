@@ -4,7 +4,6 @@
 use std::io::{Cursor, Read, Write};
 use std::path::Path;
 
-use dd_graph::hash::FxHashMap;
 use dd_graph::{MixedSocialNetwork, NodeId};
 use dd_linalg::bytes::Xxh64;
 use dd_linalg::kernels::dot8_f64;
@@ -16,6 +15,7 @@ use crate::binfmt;
 use crate::config::DeepDirectConfig;
 use crate::dstep::{self, DirectionalityHead};
 use crate::estep;
+use crate::pairs::PairIndex;
 use crate::store::TieStore;
 use crate::universe::TieUniverse;
 
@@ -116,7 +116,7 @@ impl DeepDirect {
         )
         .expect("fit produced consistent embedding shapes");
         drop((m, contexts));
-        let pair_index = pair_index_of(ties.iter().copied());
+        let pair_index = PairIndex::new(ties.iter().copied());
         let fingerprint = fingerprint_of(&store, &ties, &head);
         DirectionalityModel {
             cfg: self.cfg.clone(),
@@ -151,7 +151,11 @@ pub struct DirectionalityModel {
     pub(crate) cfg: DeepDirectConfig,
     /// Ordered universe ties as raw id pairs, row-aligned with the store.
     pub(crate) ties: Vec<(u32, u32)>,
-    pub(crate) pair_index: FxHashMap<(u32, u32), u32>,
+    /// Row of each tie: its `(src, dst)` key found by binary search within
+    /// its source's bucket (`PairIndex`), 12 bytes per tie. A repeated pair
+    /// answers with its last row. [`ScoreTable::of`](crate::ScoreTable::of)
+    /// clones it.
+    pub(crate) pair_index: PairIndex,
     /// Structure-of-arrays embedding storage: the embedding block (and the
     /// optional connection block under the `context_features` extension) as
     /// contiguous cache-aligned rows the scoring kernels stream directly.
@@ -164,19 +168,6 @@ pub struct DirectionalityModel {
     pub(crate) estep_iterations: u64,
     pub(crate) estep_seconds: f64,
     pub(crate) estep_iters_per_sec: f64,
-}
-
-/// Row of each ordered tie, sized for all of them up front so the map never
-/// rehashes as it fills. A repeated pair keeps its last row.
-pub(crate) fn pair_index_of(
-    ties: impl ExactSizeIterator<Item = (u32, u32)>,
-) -> FxHashMap<(u32, u32), u32> {
-    let mut index = FxHashMap::default();
-    index.reserve(ties.len());
-    for (i, pair) in ties.enumerate() {
-        index.insert(pair, i as u32);
-    }
-    index
 }
 
 /// XXH64 fingerprint over everything that affects scores, in a fixed field
@@ -287,7 +278,7 @@ impl DirectionalityModel {
 
     /// Row index for the ordered tie `(u, v)`, if embedded.
     pub fn tie_row(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        self.pair_index.get(&(u.0, v.0)).map(|&i| i as usize)
+        self.pair_index.get(u.0, v.0).map(|row| row as usize)
     }
 
     /// Embedding vector `m_{uv}`, if the ordered tie was embedded.

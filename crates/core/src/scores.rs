@@ -24,14 +24,18 @@ use crate::binfmt;
 use crate::config::DeepDirectConfig;
 use crate::dstep::{feature_dim, DirectionalityHead};
 use crate::model::DirectionalityModel;
+use crate::pairs::PairIndex;
 
-/// Per-row and per-head scores of one model. Frozen after construction:
+/// Per-row and per-head scores of one model, and the row of each ordered
+/// tie: 12 bytes per tie of sorted `(src, dst)` keys and their rows, found
+/// by binary search within the source's bucket, under half of what a hash
+/// map of the same ties holds (DESIGN.md §7.13). Frozen after construction:
 /// every accessor takes `&self`, so an `Arc<ScoreTable>` serves any number
 /// of threads.
 #[derive(Debug)]
 pub struct ScoreTable {
-    /// Row of each ordered tie.
-    index: FxHashMap<(u32, u32), u32>,
+    /// Row of each ordered tie; a repeated pair answers with its last row.
+    index: PairIndex,
     /// `d(e)` of each row.
     row_score: Vec<f64>,
     /// Fold-in score of each head node with at least one in-tie; `None`
@@ -42,7 +46,7 @@ pub struct ScoreTable {
 
 impl ScoreTable {
     pub(crate) fn from_parts(
-        index: FxHashMap<(u32, u32), u32>,
+        index: PairIndex,
         row_score: Vec<f64>,
         head_score: Option<FxHashMap<u32, f64>>,
         fingerprint: u64,
@@ -93,7 +97,7 @@ impl ScoreTable {
 
     /// Row index for the ordered tie `(u, v)`, if embedded.
     pub fn tie_row(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        self.index.get(&(u.0, v.0)).map(|&row| row as usize)
+        self.index.get(u.0, v.0).map(|row| row as usize)
     }
 
     /// `d(e)` of row `row`, bit-identical to

@@ -19,7 +19,6 @@
 //! needs to pick `e'` from `c(e)` and find `e`'s triad samples, so the RNG
 //! stream waits on one load per draw (DESIGN.md §7.9, "Latency-hidden SGD").
 
-use dd_graph::hash::FxHashMap;
 use dd_graph::triads::common_neighbors;
 use dd_graph::{MixedSocialNetwork, NodeId, TieKind};
 use dd_linalg::bytes::advise_huge_pages;
@@ -27,6 +26,8 @@ use dd_linalg::kernels::prefetch;
 use dd_linalg::rng::Pcg32;
 use dd_runtime::{chunk_size, split_streams, Pool, Threads};
 use serde::{Deserialize, Serialize};
+
+use crate::pairs::PairIndex;
 
 /// Classification of a universe tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -205,13 +206,9 @@ impl TieUniverse {
             *c += 1;
         }
 
-        // Only the triad sampling below needs pair lookups, so the map is
+        // Only the triad sampling below needs pair lookups, so the index is
         // local: it is freed when the build returns, before the E-Step.
-        let mut pair_index: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-        pair_index.reserve(ties.len());
-        for (i, t) in ties.iter().enumerate() {
-            pair_index.insert((t.src.0, t.dst.0), i as u32);
-        }
+        let pair_index = PairIndex::new(ties.iter().map(|t| (t.src.0, t.dst.0)));
 
         let pool = Pool::new("universe.build", threads);
         if let Some(span) = stage {
@@ -268,9 +265,9 @@ impl TieUniverse {
                 }
                 let before = pairs.len();
                 for &w in &cn[..take] {
-                    let uw = pair_index.get(&(t.src.0, w.0));
-                    let vw = pair_index.get(&(t.dst.0, w.0));
-                    if let (Some(&uw), Some(&vw)) = (uw, vw) {
+                    let uw = pair_index.get(t.src.0, w.0);
+                    let vw = pair_index.get(t.dst.0, w.0);
+                    if let (Some(uw), Some(vw)) = (uw, vw) {
                         pairs.push((uw, vw));
                     }
                 }

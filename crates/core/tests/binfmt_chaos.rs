@@ -339,3 +339,47 @@ fn a_non_finite_value_in_a_corrupt_block_fails_on_the_checksum() {
     let err = load_both(&assemble(&valid, &parts), "fixed CRC").expect_err("a NaN loads");
     assert!(err.contains("'embeddings' contains a non-finite value at element 70"), "{err}");
 }
+
+/// Every node id of a valid container moved far apart near `u32::MAX` by
+/// an injective map, the tie payloads rewritten and the container rebuilt:
+/// both loaders accept it with the same fingerprint, every remapped pair
+/// finds its original row and scores it bit for bit, each remapped head
+/// keeps its fold-in score, and a non-tie finds nothing. The pair lookup
+/// sizes nothing by the largest id, so this file costs what the original
+/// does. (`load_both` is not used: its offline `FoldInIndex` reference
+/// holds a slot per node id.)
+#[test]
+fn loaders_accept_sparse_ids_near_u32_max() {
+    let (model, valid) = valid_container();
+    let remap = |id: u32| u32::MAX - 7919 * id;
+    let mut parts = sections(&valid);
+    for (kind, payload) in &mut parts {
+        if *kind == section::TIE_SRC || *kind == section::TIE_DST {
+            for word in payload.chunks_exact_mut(4) {
+                let id = u32::from_le_bytes(word.try_into().unwrap());
+                word.copy_from_slice(&remap(id).to_le_bytes());
+            }
+        }
+    }
+    let sparse = assemble(&valid, &parts);
+    let loaded = DirectionalityModel::load(sparse.as_slice()).expect("the model loads");
+    let table = ScoreTable::load(Cursor::new(&sparse), true).expect("the table loads");
+    let dense = ScoreTable::load(Cursor::new(&valid), true).expect("the original table loads");
+    assert_eq!(table.fingerprint(), loaded.fingerprint());
+    assert_eq!((loaded.n_ties(), table.n_ties()), (model.n_ties(), model.n_ties()));
+    for (row, &(u, v)) in model.ties().iter().enumerate() {
+        let (su, sv) = (NodeId(remap(u)), NodeId(remap(v)));
+        let want = model.score_row(row).to_bits();
+        assert_eq!(loaded.tie_row(su, sv), Some(row), "model row of ({u}, {v})");
+        assert_eq!(table.tie_row(su, sv), Some(row), "table row of ({u}, {v})");
+        assert_eq!(loaded.score(su, sv).map(f64::to_bits), Some(want), "model score {row}");
+        assert_eq!(table.score(su, sv).map(f64::to_bits), Some(want), "table score {row}");
+        let head = dense.head_score(NodeId(v)).map(f64::to_bits);
+        assert_eq!(table.head_score(sv).map(f64::to_bits), head, "head {v}");
+        // A self-loop is never a tie, nor is a pair under the original ids.
+        for (a, b) in [(su, su), (NodeId(u), NodeId(v))] {
+            assert_eq!(loaded.tie_row(a, b), None, "model: ({}, {}) is no tie", a.0, b.0);
+            assert_eq!(table.tie_row(a, b), None, "table: ({}, {}) is no tie", a.0, b.0);
+        }
+    }
+}
