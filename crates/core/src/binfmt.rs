@@ -32,9 +32,9 @@
 //! for non-finite values. `decode_model` has it write the pieces straight
 //! into the model's [`TieStore`] (`DirectionalityModel::load*`);
 //! `decode_scores` reuses one chunk for them and keeps only each row's
-//! score and each head's fold-in score (`ScoreTable::load*`, what a
-//! `dd serve` shard holds). So both loaders give any input the same
-//! verdict and the same fingerprint.
+//! score and, from the rows' embedding-half logits, each head's fold-in
+//! score (`ScoreTable::load*`, what a `dd serve` shard holds). So both
+//! loaders give any input the same verdict and the same fingerprint.
 //!
 //! Every validation failure is a typed [`BinaryFormatError`] naming the
 //! offending section — neither loader panics on hostile input (pinned by
@@ -51,7 +51,7 @@ use crate::config::DeepDirectConfig;
 use crate::dstep::{self, DirectionalityHead};
 use crate::model::{DirectionalityModel, Fingerprint, MODEL_SCHEMA_VERSION};
 use crate::pairs::PairIndex;
-use crate::scores::{HeadSums, ScoreTable};
+use crate::scores::{HeadSlots, ScoreTable};
 use crate::store::{align_up, TieStore};
 
 /// Magic bytes opening every binary model file. PNG-style: a non-ASCII lead
@@ -688,25 +688,32 @@ pub(crate) fn decode_model<R: Read + Seek>(r: &mut R) -> Result<DirectionalityMo
 /// it: every row's score, with `fold_in`, every head's fold-in score, and
 /// the fingerprint, without holding the float blocks. After
 /// [`read_lead`], the embedding block, then the context block, stream
-/// through one reused chunk of about [`CHUNK_BYTES`]. Every score is
-/// computed with the arithmetic of [`DirectionalityModel::score_row`] and
-/// [`FoldInIndex`](crate::FoldInIndex) on the rows in ascending order, so
-/// the values are bit-identical to the loaded model's.
+/// through one reused chunk of about [`CHUNK_BYTES`]. Row scores are
+/// computed with the arithmetic of [`DirectionalityModel::score_row`], so
+/// they are bit-identical to the loaded model's. Head scores come from
+/// [`HeadSlots::score`] on the embedding-half logits, before the context
+/// block adds to them, as [`ScoreTable::of`] computes them; the heads are
+/// slotted in the `tie.src` payload's words once the pair index no longer
+/// needs them, so a fold-in load allocates O(heads) beyond a rows-only one.
 ///
 /// [`DirectionalityModel::score_row`]: crate::DirectionalityModel::score_row
 pub(crate) fn decode_scores<R: Read + Seek>(
     r: &mut R,
     fold_in: bool,
 ) -> Result<ScoreTable, StreamError> {
-    let Lead { layout, meta, tie_bytes, mut fingerprint } = read_lead(r)?;
+    let Lead { layout, meta, mut tie_bytes, mut fingerprint } = read_lead(r)?;
     let (rows, dim) = (meta.rows as usize, meta.dim as usize);
     let [src, dst] = tie_ids(&tie_bytes);
     let index = PairIndex::new(src.iter().copied().zip(dst.iter().copied()));
-    let mut heads = fold_in.then(|| HeadSums::new(dst.iter().copied(), dim));
+    let slots = fold_in.then(|| {
+        let scratch = bytes::u32_slice_mut(tie_bytes[0].as_mut_bytes());
+        HeadSlots::new(&index, scratch.expect("read_lead checked the cast"))
+    });
     drop(tie_bytes);
 
     let DirectionalityHead::Logistic(lr) = &meta.head;
     let (w_emb, w_ctx) = lr.w.split_at(dim.min(lr.w.len()));
+    let b = f64::from(lr.b);
     // Each row's logit, built as `score_row` builds it: the embedding
     // half's dot, then `+=` the context half's.
     let mut z = vec![0.0f64; rows];
@@ -715,10 +722,8 @@ pub(crate) fn decode_scores<R: Read + Seek>(
         for (zi, row) in z[first..].iter_mut().zip(floats.chunks_exact(dim)) {
             *zi = dot8_f64(w_emb, row);
         }
-        if let Some(heads) = &mut heads {
-            heads.add(first, floats);
-        }
     })?;
+    let head_score = slots.map(|slots| slots.score(&index, &z, b));
     if let Some(ctx) = &layout.ctx {
         stream_block(r, ctx, dim, chunk.as_mut_bytes(), &mut fingerprint, |first, floats| {
             for (zi, row) in z[first..].iter_mut().zip(floats.chunks_exact(dim)) {
@@ -726,11 +731,9 @@ pub(crate) fn decode_scores<R: Read + Seek>(
             }
         })?;
     }
-    let b = f64::from(lr.b);
     for zi in &mut z {
         *zi = sigmoid64(*zi + b);
     }
-    let head_score = heads.map(|h| h.finish(&meta.head, &meta.cfg));
     Ok(ScoreTable::from_parts(index, z, head_score, fingerprint.finish(&meta.head)))
 }
 

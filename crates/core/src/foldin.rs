@@ -15,16 +15,26 @@
 //!
 //! This is an extension of this implementation (documented in DESIGN.md §6),
 //! not part of the paper.
+//!
+//! This module keeps the old pairwise definition: the f32 mean of the
+//! in-row embeddings, through the head. Served fold-in never has a row to
+//! leave out, so the system scores a head once, as the sigmoid of the mean
+//! in-row logit ([`ScoreTable::head_score`](crate::ScoreTable::head_score)),
+//! which agrees with this to within 1e-6. Nothing in the system calls this
+//! module; it stays only while perfbench's `foldin.*` layers time
+//! [`FoldInIndex`] (ROADMAP item 3). Its index holds a slot per node id up
+//! to the largest, so a model whose ids reach near `u32::MAX` cannot be
+//! scored here.
 
 use dd_graph::NodeId;
 
 use crate::model::DirectionalityModel;
 
-/// Owned per-head index of embedded ties, decoupled from any model borrow.
+/// Owned per-head index of embedded ties, decoupled from any model borrow:
+/// the old pairwise fold-in (see the [module docs](self)), kept for
+/// perfbench's `foldin.*` layers.
 ///
-/// [`FoldInScorer`] wraps this with a borrowed model for one-shot use; the
-/// streaming layer owns one alongside an `Arc`'d model so a long-lived
-/// engine can answer fold-in queries without a self-referential borrow.
+/// [`FoldInScorer`] wraps this with a borrowed model for one-shot use.
 /// All methods take the model explicitly — callers must pass the same model
 /// the index was built from (row numbers are meaningless across models).
 pub struct FoldInIndex {
@@ -52,9 +62,9 @@ impl FoldInIndex {
     /// Buffer-reusing fold-in: writes the mean embedding of `v`'s in-ties
     /// (excluding the pair `(u, v)` itself) into `acc` and returns `true`,
     /// or returns `false` when `v` has no usable in-ties (leaving `acc`
-    /// cleared). Reusing `acc` across calls makes this the allocation-free
-    /// hot path for streaming and serving; the arithmetic is identical to
-    /// the allocating [`FoldInScorer::foldin_embedding`], bit for bit.
+    /// cleared). Reusing `acc` across calls makes this allocation-free; the
+    /// arithmetic is identical to the allocating
+    /// [`FoldInScorer::foldin_embedding`], bit for bit.
     pub fn foldin_embedding_into(
         &self,
         model: &DirectionalityModel,
@@ -108,8 +118,7 @@ impl FoldInIndex {
     }
 
     /// Pure fold-in score (never consults the exact path): `None` when the
-    /// head has no usable in-ties. The streaming engine uses this directly
-    /// for dynamic ties, which are untrained by construction.
+    /// head has no usable in-ties.
     pub fn foldin_score_into(
         &self,
         model: &DirectionalityModel,

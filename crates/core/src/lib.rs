@@ -33,10 +33,12 @@
 //! * [`apps`] — the two applications of Sec. 5 plus the bidirectionality
 //!   future-work extension: direction discovery, direction quantification
 //!   (directionality adjacency matrix), bidirectionality scoring.
-//! * [`foldin`] — extension: scoring ordered pairs unseen at training time
-//!   via head-cluster fold-in.
+//! * [`foldin`] — the pairwise fold-in of the mean embedding
+//!   ([`FoldInScorer`]), which also leaves out a trained `(u, v)`; the
+//!   system serves [`scores`]' per-head form instead.
 //! * [`scores`] — the per-row and per-head score table a serving shard
-//!   holds in place of the embeddings, computed while a `.ddm` streams in.
+//!   holds in place of the embeddings, computed while a `.ddm` streams in;
+//!   a head's fold-in score is the sigmoid of its mean in-row logit.
 //!
 //! ## Quickstart
 //!

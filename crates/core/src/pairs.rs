@@ -1,23 +1,93 @@
-//! The pair lookup: the row of each ordered tie `(u, v)`, without a hash.
+//! The pair lookup: the row of each ordered tie `(u, v)`, without a hash,
+//! and the bucketing by node id it shares with the head scores.
+
+use std::ops::Range;
+
+/// Items grouped by the id each carries, in buckets `id >> shift`, by a
+/// counting pass and prefix sums. `shift` is the smallest value that leaves
+/// at most `n + 1` buckets for `n` items, so `offsets` never has more than
+/// `n + 2` entries whatever the ids: dense ids (every honest file) get
+/// `shift = 0`, one bucket per id, and ids up to `u32::MAX` only raise
+/// `shift`. No allocation is ever sized by a node id.
+#[derive(Debug, Clone)]
+pub(crate) struct Buckets {
+    /// Bucket `b`'s items are at positions `offsets[b]..offsets[b + 1]`.
+    offsets: Vec<u32>,
+    shift: u32,
+}
+
+impl Buckets {
+    /// Buckets `items`, each an id and a payload, and hands `place` each
+    /// payload with its position: bucket by bucket, in input order within a
+    /// bucket. Three passes over the items: the largest id; the count of
+    /// each bucket, then its start; the placement. Positions are `u32`, so
+    /// there are at most `u32::MAX` items.
+    pub(crate) fn scatter<T, I>(items: I, mut place: impl FnMut(usize, T)) -> Self
+    where
+        I: ExactSizeIterator<Item = (u32, T)> + Clone,
+    {
+        let n = items.len();
+        let max = items.clone().map(|(id, _)| id).max().unwrap_or(0);
+        let mut shift = 0;
+        while (max >> shift) as usize > n {
+            shift += 1;
+        }
+        let buckets = (max >> shift) as usize + 1;
+
+        // `offsets[b]` first holds bucket `b`'s start, then serves as its
+        // cursor, ending at its end; shifting it one place on restores the
+        // starts.
+        let mut offsets = vec![0u32; buckets + 1];
+        for (id, _) in items.clone() {
+            offsets[(id >> shift) as usize + 1] += 1;
+        }
+        for b in 1..=buckets {
+            offsets[b] += offsets[b - 1];
+        }
+        for (id, item) in items {
+            let at = &mut offsets[(id >> shift) as usize];
+            place(*at as usize, item);
+            *at += 1;
+        }
+        offsets.copy_within(..buckets, 1);
+        offsets[0] = 0;
+        Buckets { offsets, shift }
+    }
+
+    /// Positions of the bucket `id` falls in; empty past the last bucket.
+    pub(crate) fn range(&self, id: u32) -> Range<usize> {
+        let b = (id >> self.shift) as usize;
+        match (self.offsets.get(b), self.offsets.get(b + 1)) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// Each bucket's positions, in bucket order.
+    pub(crate) fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.offsets.windows(2).map(|b| b[0] as usize..b[1] as usize)
+    }
+
+    /// Number of buckets and the shift, for tests of what a bucketing holds.
+    #[cfg(test)]
+    pub(crate) fn shape(&self) -> (usize, u32) {
+        (self.offsets.len() - 1, self.shift)
+    }
+}
 
 /// Row of each ordered tie, found by binary search over the ties' keys
 /// sorted by `(src, dst)`. Holds 12 bytes per tie (an 8-byte key and a
-/// 4-byte row) plus one 4-byte offset per bucket of sources.
-///
-/// Sources are bucketed by `src >> shift`, with `shift` the smallest value
-/// that leaves at most `rows + 1` buckets. Dense ids (every honest file)
-/// get `shift = 0`, one bucket per source: per-source offsets. Ids up to
-/// `u32::MAX` only raise `shift`, so no allocation is ever sized by a node
-/// id. A repeated pair answers with its last row.
+/// 4-byte row) plus one 4-byte offset per bucket of sources ([`Buckets`]):
+/// per-source offsets for dense ids. A repeated pair answers with its last
+/// row.
 #[derive(Debug, Clone)]
 pub(crate) struct PairIndex {
     /// `(src << 32) | dst` of each tie, sorted; equal keys by row.
     keys: Vec<u64>,
     /// Row of each key.
     rows: Vec<u32>,
-    /// Bucket `b`'s keys are `keys[offsets[b]..offsets[b + 1]]`.
-    offsets: Vec<u32>,
-    shift: u32,
+    /// The keys bucketed by source.
+    by_src: Buckets,
 }
 
 fn key(u: u32, v: u32) -> u64 {
@@ -25,51 +95,29 @@ fn key(u: u32, v: u32) -> u64 {
 }
 
 impl PairIndex {
-    /// Indexes the ties in row order. Four passes over them: the largest
-    /// source; the count of each bucket, then its start; the keys and rows
-    /// scattered into their buckets in row order; each bucket sorted by
+    /// Indexes the ties in row order: [`Buckets::scatter`] places each
+    /// key and row in its source's bucket, then each bucket is sorted by
     /// `(key, row)`. Nothing is collected first, so a loader can pass the
     /// two tie payloads it already holds. Rows are `u32`, as a `.ddm`'s row
-    /// count is, so there are at most `u32::MAX` ties.
+    /// count is.
     pub(crate) fn new<I>(ties: I) -> Self
     where
         I: ExactSizeIterator<Item = (u32, u32)> + Clone,
     {
         let n = ties.len();
-        let max_src = ties.clone().map(|(u, _)| u).max().unwrap_or(0);
-        let mut shift = 0;
-        while (max_src >> shift) as usize > n {
-            shift += 1;
-        }
-        let buckets = (max_src >> shift) as usize + 1;
-
-        // `offsets[b]` first holds bucket `b`'s start, then serves as its
-        // cursor, ending at its end; shifting it one place on restores the
-        // starts.
-        let mut offsets = vec![0u32; buckets + 1];
-        for (u, _) in ties.clone() {
-            offsets[(u >> shift) as usize + 1] += 1;
-        }
-        for b in 1..=buckets {
-            offsets[b] += offsets[b - 1];
-        }
         let mut keys = vec![0u64; n];
         let mut rows = vec![0u32; n];
-        for (row, (u, v)) in ties.enumerate() {
-            let at = &mut offsets[(u >> shift) as usize];
-            keys[*at as usize] = key(u, v);
-            rows[*at as usize] = row as u32;
-            *at += 1;
-        }
-        offsets.copy_within(..buckets, 1);
-        offsets[0] = 0;
+        let items = ties.enumerate().map(|(row, (u, v))| (u, (key(u, v), row as u32)));
+        let by_src = Buckets::scatter(items, |at, (k, row)| {
+            keys[at] = k;
+            rows[at] = row;
+        });
 
         // In `(key, row)` order a repeated pair's last row comes last, which
         // is the one `get` finds.
         let mut scratch: Vec<(u64, u32)> = Vec::new();
-        for b in offsets.windows(2) {
-            let (lo, hi) = (b[0] as usize, b[1] as usize);
-            let (keys, rows) = (&mut keys[lo..hi], &mut rows[lo..hi]);
+        for b in by_src.ranges() {
+            let (keys, rows) = (&mut keys[b.clone()], &mut rows[b]);
             scratch.clear();
             scratch.extend(keys.iter().copied().zip(rows.iter().copied()));
             scratch.sort_unstable();
@@ -77,18 +125,23 @@ impl PairIndex {
                 (*k, *r) = (sk, sr);
             }
         }
-        PairIndex { keys, rows, offsets, shift }
+        PairIndex { keys, rows, by_src }
     }
 
     /// Row of the ordered tie `(u, v)`, if indexed: the last row of a
     /// repeated pair.
     pub(crate) fn get(&self, u: u32, v: u32) -> Option<u32> {
-        let b = (u >> self.shift) as usize;
-        let (lo, hi) = (*self.offsets.get(b)? as usize, *self.offsets.get(b + 1)? as usize);
-        let keys = &self.keys[lo..hi];
+        let b = self.by_src.range(u);
+        let keys = &self.keys[b.clone()];
         let key = key(u, v);
         let at = keys.partition_point(|&k| k <= key);
-        (at > 0 && keys[at - 1] == key).then(|| self.rows[lo + at - 1])
+        (at > 0 && keys[at - 1] == key).then(|| self.rows[b.start + at - 1])
+    }
+
+    /// Every indexed tie as `(dst, row)`, in key order: by source, then
+    /// destination, then row. Repeated pairs appear once per row.
+    pub(crate) fn heads(&self) -> impl ExactSizeIterator<Item = (u32, usize)> + Clone + '_ {
+        self.keys.iter().zip(&self.rows).map(|(&k, &row)| (k as u32, row as usize))
     }
 }
 
@@ -103,9 +156,9 @@ mod tests {
     fn check(ties: &[(u32, u32)], probes: &[(u32, u32)]) {
         let index = PairIndex::new(ties.iter().copied());
         assert!(
-            index.offsets.len() <= ties.len() + 2,
+            index.by_src.offsets.len() <= ties.len() + 2,
             "{} offsets for {} ties",
-            index.offsets.len(),
+            index.by_src.offsets.len(),
             ties.len()
         );
         assert_eq!(index.keys.len(), ties.len());
@@ -170,7 +223,7 @@ mod tests {
             });
             ties.push((u32::MAX, u32::MAX));
             check(&ties, &probes);
-            assert!(PairIndex::new(ties.iter().copied()).shift > 0);
+            assert!(PairIndex::new(ties.iter().copied()).by_src.shift > 0);
         }
     }
 
@@ -194,6 +247,6 @@ mod tests {
         assert_eq!(index.get(5, 0), Some(3));
         assert_eq!(index.get(5, 2), None);
         assert_eq!(index.get(6, 1), None);
-        assert_eq!(index.shift, 0);
+        assert_eq!(index.by_src.shift, 0);
     }
 }

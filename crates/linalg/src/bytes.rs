@@ -295,6 +295,17 @@ pub fn u32_slice(bytes: &[u8]) -> Result<&[u32], CastError> {
     Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), bytes.len() / elem) })
 }
 
+/// Mutable [`u32_slice`]: reinterprets `bytes` as `u32`s the caller may
+/// rewrite in place (same contract).
+pub fn u32_slice_mut(bytes: &mut [u8]) -> Result<&mut [u32], CastError> {
+    u32_slice(bytes)?;
+    let len = bytes.len() / std::mem::size_of::<u32>();
+    // SAFETY: `u32_slice` checked alignment and length divisibility; every
+    // bit pattern is a valid u32; the exclusive borrow of `bytes` is moved
+    // into the result, so nothing else can alias it.
+    Ok(unsafe { std::slice::from_raw_parts_mut(bytes.as_mut_ptr().cast::<u32>(), len) })
+}
+
 /// Native-endian byte view of an `f32` slice — the inverse direction of
 /// [`f32_slice`]. Always valid (alignment only decreases), so it cannot
 /// fail. Used for block copies, fingerprinting and the `.ddm` encoder,

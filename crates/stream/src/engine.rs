@@ -6,8 +6,8 @@
 //! (DESIGN.md §6), an unfollowed trained tie stops scoring, and everything
 //! untouched keeps its exact trained score. A dynamic tie is untrained, so
 //! its fold-in mean excludes no row and depends on the head alone: the
-//! table's precomputed [`ScoreTable::head_score`], bit-identical to
-//! [`FoldInIndex`](deepdirect::FoldInIndex) on the same pair.
+//! table's precomputed [`ScoreTable::head_score`], the sigmoid of the mean
+//! embedding-half logit of the head's in-rows.
 //!
 //! # Determinism and replay (DESIGN.md §7.15)
 //!
@@ -276,7 +276,9 @@ mod tests {
     use super::*;
     use dd_graph::generators::{social_network, SocialNetConfig};
     use dd_graph::MixedSocialNetwork;
-    use deepdirect::{DeepDirect, DeepDirectConfig, FoldInScorer};
+    use dd_linalg::kernels::dot8_f64;
+    use dd_linalg::sigmoid64;
+    use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityHead};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -305,8 +307,21 @@ mod tests {
         panic!("no unseen pair in the generated network");
     }
 
+    /// Head `v`'s fold-in score by its definition: the sigmoid of the mean
+    /// embedding-half logit of its in-rows plus the bias, the logits summed
+    /// in f64 in `(src, row)` order.
+    fn head_mean(model: &DirectionalityModel, v: u32) -> f64 {
+        let DirectionalityHead::Logistic(lr) = model.head();
+        let mut rows: Vec<usize> =
+            (0..model.n_ties()).filter(|&r| model.ties()[r].1 == v).collect();
+        rows.sort_by_key(|&row| (model.ties()[row], row));
+        let logit = |row: usize| dot8_f64(&lr.w[..model.dim()], model.embedding_row(row));
+        let sum = rows.iter().fold(0.0, |sum, &row| sum + logit(row));
+        sigmoid64(sum / rows.len() as f64 + f64::from(lr.b))
+    }
+
     #[test]
-    fn followed_unseen_tie_scores_via_foldin_and_matches_foldin_scorer() {
+    fn followed_unseen_tie_scores_via_its_heads_mean_logit() {
         let (g, model) = trained_model(41);
         let (u, v) = unseen_pair(&g, &model);
         let mut engine = StreamEngine::new(Arc::clone(&model));
@@ -315,8 +330,8 @@ mod tests {
 
         engine.apply(TieEvent::new(EventOp::Follow, u, v));
         let got = engine.score(NodeId(u), NodeId(v), &mut scratch).expect("live after follow");
-        let want = FoldInScorer::new(&model).score(NodeId(u), NodeId(v));
-        assert_eq!(got.to_bits(), want.to_bits(), "engine fold-in must match FoldInScorer");
+        let want = head_mean(&model, v);
+        assert_eq!(got.to_bits(), want.to_bits(), "engine fold-in must be the head's mean logit");
         assert_eq!(engine.live_dynamic(), 1);
     }
 
